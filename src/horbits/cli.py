@@ -22,7 +22,7 @@ from .indices import (
     even_index,
     subgroup_rank,
 )
-from .orbits import _NormKey, decompose_product, generate_orbit, orbit_product
+from .orbits import _by_norm, decompose_product, generate_orbit, orbit_product
 from .weightsys import build_tree, tree_to_dot, tree_to_json, weight_system_dominants
 from .geometry import export_json, export_obj, nested_polyhedra
 
@@ -172,7 +172,7 @@ def _cmd_product(args) -> int:
             print(f"{w.text()} x{mult}")
         return 0
     multiset = orbit_product(orbits, max_points=MAX_LISTED_POINTS)
-    for w, count in sorted(multiset.tally.items(), key=_NormKey(group)):
+    for w, count in _by_norm(group, multiset.tally.items()):
         print(f"{w.text()} x{count}")
     return 0
 

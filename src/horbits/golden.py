@@ -137,16 +137,10 @@ class GoldenNumber:
 
     def sign(self) -> int:
         """Exact sign of the real value q + r*(1+sqrt5)/2 (-1, 0 or +1)."""
-        s = 2 * self.rat + self.tau  # value = (s + t*sqrt5) / 2
-        t = self.tau
-        if s >= 0 and t >= 0:
-            return 1 if (s != 0 or t != 0) else 0
-        if s <= 0 and t <= 0:
-            return -1
-        # mixed signs: compare s^2 with 5 t^2 (equality impossible, t != 0)
-        if s > 0:
-            return 1 if s * s > 5 * t * t else -1
-        return 1 if 5 * t * t > s * s else -1
+        q, r = self.rat, self.tau
+        denom = math.lcm(q.denominator, r.denominator)
+        return _sign_pair(q.numerator * (denom // q.denominator),
+                          r.numerator * (denom // r.denominator))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -219,6 +213,19 @@ class GoldenNumber:
 
     def __repr__(self):
         return f"GoldenNumber({self.rat!r}, {self.tau!r})"
+
+
+def _sign_pair(a: int, b: int) -> int:
+    """Exact sign of a + b*tau for integers a, b."""
+    s = 2 * a + b  # a + b*tau = (s + b*sqrt5) / 2
+    if s >= 0 and b >= 0:
+        return 1 if (s or b) else 0
+    if s <= 0 and b <= 0:
+        return -1
+    # mixed signs: compare s^2 with 5 b^2 (equality impossible, b != 0)
+    if s > 0:
+        return 1 if s * s > 5 * b * b else -1
+    return 1 if 5 * b * b > s * s else -1
 
 
 def golden(rat=0, tau=0) -> GoldenNumber:

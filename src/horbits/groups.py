@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, GroupMismatchError
-from .golden import GoldenNumber, TAU, ZERO, parse_golden
+from .golden import GoldenNumber, TAU, ZERO, _sign_pair, parse_golden
 
 __all__ = [
     "Group",
@@ -85,6 +86,66 @@ class Weight:
 
     def __str__(self):
         return "(" + self.text() + ")"
+
+
+# ---------------------------------------------------------------------------
+# flat integer representation
+#
+# Internally a weight is flattened to a tuple of integers: the numerators
+# (a_1, b_1, ..., a_r, b_r) of its coordinates a_i + b_i*tau over one shared
+# denominator.  Reflections only ever multiply coordinates by Cartan entries,
+# which keeps that representation closed and makes hashing cheap.
+
+
+def _flatten(weights) -> tuple[list[tuple[int, ...]], int]:
+    """Scale weights to a common denominator and flatten to integer tuples."""
+    denom = 1
+    for w in weights:
+        for c in w.coords:
+            denom = math.lcm(denom, c.rat.denominator, c.tau.denominator)
+    flats = []
+    for w in weights:
+        flat = []
+        for c in w.coords:
+            # denom is a multiple of both denominators: integer math is exact
+            flat.append(c.rat.numerator * (denom // c.rat.denominator))
+            flat.append(c.tau.numerator * (denom // c.tau.denominator))
+        flats.append(tuple(flat))
+    return flats, denom
+
+
+def _unflatten(group: "Group", flats, denom: int) -> list[Weight]:
+    """Weights of flat rows over ``denom``.
+
+    Each distinct coordinate pair becomes one ``GoldenNumber``, shared by
+    every weight of the call that has it.
+    """
+    numbers: dict[tuple[int, int], GoldenNumber] = {}
+    weights = []
+    for flat in flats:
+        coords = []
+        for i in range(0, len(flat), 2):
+            pair = flat[i], flat[i + 1]
+            number = numbers.get(pair)
+            if number is None:
+                number = numbers[pair] = GoldenNumber(
+                    Fraction(pair[0], denom), Fraction(pair[1], denom))
+            coords.append(number)
+        weights.append(Weight(group, tuple(coords)))
+    return weights
+
+
+def _reflect_flat(flat, i, int_row):
+    """Simple reflection ``i`` of a flat weight; ``int_row`` is ``_int_rows[i]``."""
+    xa = flat[2 * i]
+    xb = flat[2 * i + 1]
+    if xa == 0 and xb == 0:
+        return flat
+    out = list(flat)
+    for j, ca, cb in int_row:
+        out[2 * j] -= xa * ca + xb * cb
+        out[2 * j + 1] -= xa * cb + xb * ca + xb * cb
+    return tuple(out)
 
 
 def _as_golden(value) -> GoldenNumber:
@@ -167,10 +228,6 @@ class Group:
         self._int_rows = tuple(
             tuple((j, int(v.rat), int(v.tau))
                   for j, v in enumerate(row) if v)
-            for row in self.cartan
-        )
-        self._rows_g = tuple(
-            tuple((j, v) for j, v in enumerate(row) if v)
             for row in self.cartan
         )
         self.cartan_det = _determinant(self.cartan)
@@ -272,18 +329,23 @@ class Group:
         reflections used; the representative does not depend on the policy.
         """
         self._own(x)
-        current = list(x.coords)
+        flats, denom = _flatten([x])
+        flat, steps = self._to_dominant_flat(flats[0])
+        return _unflatten(self, [flat], denom)[0], steps
+
+    def _to_dominant_flat(self, flat) -> tuple[tuple[int, ...], int]:
+        """:meth:`to_dominant` on a flat weight; the denominator is unchanged."""
+        rows = self._int_rows
+        rank = self.rank
         steps = 0
         while True:
-            for i in range(self.rank):
-                if current[i].sign() < 0:
-                    xi = current[i]
-                    for j, c in self._rows_g[i]:
-                        current[j] = current[j] - xi * c
+            for i in range(rank):
+                if _sign_pair(flat[2 * i], flat[2 * i + 1]) < 0:
+                    flat = _reflect_flat(flat, i, rows[i])
                     steps += 1
                     break
             else:
-                return Weight(self, tuple(current)), steps
+                return flat, steps
 
     # -- orbit sizes --------------------------------------------------------
 
@@ -298,9 +360,13 @@ class Group:
         self._own(dominant)
         if not dominant.is_dominant:
             raise DomainError(f"{dominant} is not dominant")
+        return self._orbit_size_of_zeros([not c for c in dominant.coords])
+
+    def _orbit_size_of_zeros(self, zeros) -> int:
+        """Orbit size of a dominant weight whose coordinate i is zero iff ``zeros[i]``."""
         runs: list[list[int]] = []
-        for i, c in enumerate(dominant.coords):
-            if c:
+        for i, zero in enumerate(zeros):
+            if not zero:
                 continue
             if runs and i == runs[-1][-1] + 1:
                 runs[-1].append(i)

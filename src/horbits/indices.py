@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .errors import DomainError, GroupMismatchError, NonDominantError
 from .golden import GoldenNumber, TAU, ZERO, value_fraction
-from .groups import A1, A2, Group, H2, H3, Weight, get_group
-from .orbits import (Decomposition, WeightMultiset, _NormKey, _flatten,
-                     generate_orbit)
+from .groups import A1, A2, Group, H2, H3, Weight, _flatten, get_group
+from .orbits import Decomposition, WeightMultiset, _by_norm, generate_orbit
 
 __all__ = [
     "IndexValue",
@@ -73,7 +72,7 @@ def multiset_even_index(multiset: WeightMultiset, p: int) -> IndexValue:
     if p < 0:
         raise DomainError("even index needs p >= 0")
     group = multiset.group
-    flats, denom = _flatten(multiset.tally, group.rank)
+    flats, denom = _flatten(multiset.tally)
     total_a = total_b = 0
     for flat, count in zip(flats, multiset.tally.values()):
         na, nb = group._det_norm_pair(flat)
@@ -278,9 +277,10 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
         child, _ = rule.child.to_dominant(rule.project(w))
         key = (height, child)
         tally[key] = tally.get(key, 0) + 1
-    layers = [BranchLayer(h, c, n) for (h, c), n in tally.items()]
-    child_key = _NormKey(rule.child)
-    layers.sort(key=lambda l: (-value_fraction(l.height), child_key(l.child_dominant)))
+    # order by child first, then (stably) by descending height
+    by_child = _by_norm(rule.child, [(c, (h, n)) for (h, c), n in tally.items()])
+    layers = [BranchLayer(h, c, n) for c, (h, n) in by_child]
+    layers.sort(key=lambda l: -value_fraction(l.height))
     return layers
 
 

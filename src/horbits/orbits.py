@@ -1,22 +1,20 @@
 """Orbit generation, direct sums, products, and decomposition into orbits.
 
 Orbit elements are generated by breadth-first closure under the simple
-reflections with exact deduplication.  Internally a weight is flattened to a
-tuple of integers (the numerators of its 2*rank rational parts over a common
-denominator); reflections only ever multiply coordinates by Cartan entries,
-which keeps that representation closed and makes hashing cheap.
+reflections with exact deduplication, on the flat integer rows of
+:mod:`horbits.groups` (the numerators of a weight's 2*rank rational parts
+over a common denominator).
 
-Products of orbits can be decomposed without materializing the full multiset
-of pairwise sums: a sum point is formed, tested for dominance, tallied only
-if dominant, and discarded.  A vectorized kernel handles the large products.
+Products of orbits are decomposed without forming their pairwise sums, by
+the stabilizer product rule: for dominant lambda and an orbit O_mu, the
+multiplicity of the orbit O_nu in O_lambda x O_mu is
+``|O_lambda| * #{y in O_mu : dom(lambda + y) = nu} / |O_nu|``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
-
-import numpy as np
+from itertools import islice
+from math import prod
 
 from .errors import (
     DomainError,
@@ -25,8 +23,8 @@ from .errors import (
     NonDominantError,
     SizeLimitError,
 )
-from .golden import GoldenNumber, value_fraction
-from .groups import Group, Weight
+from .golden import GoldenNumber, _value_numerator
+from .groups import Group, Weight, _flatten, _reflect_flat, _unflatten
 
 __all__ = [
     "Orbit",
@@ -40,71 +38,6 @@ __all__ = [
 ]
 
 MAX_MATERIALIZED_POINTS = 2_000_000
-
-# Components above this bound would risk int64 overflow in the vectorized
-# dominance test (it squares 2a+b); fall back to exact python beyond it.
-_INT64_SAFE_BOUND = 10**7
-_VECTOR_THRESHOLD = 250_000
-
-
-# ---------------------------------------------------------------------------
-# flat integer representation
-
-
-def _flatten(weights, rank) -> tuple[list[tuple[int, ...]], int]:
-    """Scale weights to a common denominator and flatten to integer tuples."""
-    denom = 1
-    for w in weights:
-        for c in w.coords:
-            denom = lcm(denom, c.rat.denominator, c.tau.denominator)
-    flats = []
-    for w in weights:
-        flat = []
-        for c in w.coords:
-            # denom is a multiple of both denominators: integer math is exact
-            flat.append(c.rat.numerator * (denom // c.rat.denominator))
-            flat.append(c.tau.numerator * (denom // c.tau.denominator))
-        flats.append(tuple(flat))
-    return flats, denom
-
-
-def _unflatten(group: Group, flat, denom: int) -> Weight:
-    coords = tuple(
-        GoldenNumber(Fraction(flat[2 * i], denom), Fraction(flat[2 * i + 1], denom))
-        for i in range(group.rank)
-    )
-    return Weight(group, coords)
-
-
-def _sign_pair(a: int, b: int) -> int:
-    """Exact sign of a + b*tau for integers a, b."""
-    s = 2 * a + b
-    if s >= 0 and b >= 0:
-        return 1 if (s or b) else 0
-    if s <= 0 and b <= 0:
-        return -1
-    if s > 0:
-        return 1 if s * s > 5 * b * b else -1
-    return 1 if 5 * b * b > s * s else -1
-
-
-def _flat_is_dominant(flat) -> bool:
-    for i in range(0, len(flat), 2):
-        if _sign_pair(flat[i], flat[i + 1]) < 0:
-            return False
-    return True
-
-
-def _reflect_flat(flat, i, int_row):
-    xa = flat[2 * i]
-    xb = flat[2 * i + 1]
-    if xa == 0 and xb == 0:
-        return flat
-    out = list(flat)
-    for j, ca, cb in int_row:
-        out[2 * j] -= xa * ca + xb * cb
-        out[2 * j + 1] -= xa * cb + xb * ca + xb * cb
-    return tuple(out)
 
 
 def _orbit_flats(group: Group, seed_flat):
@@ -130,6 +63,34 @@ def _element_sort_key(flat):
     floats = tuple(-(flat[i] + flat[i + 1] * 1.618033988749895)
                    for i in range(0, len(flat), 2))
     return floats, flat
+
+
+def _flatten_lists(lists) -> tuple[list[list[tuple[int, ...]]], int]:
+    """Flatten several lists of weights over one shared denominator."""
+    flats, denom = _flatten([w for weights in lists for w in weights])
+    rows = iter(flats)
+    return [list(islice(rows, len(weights))) for weights in lists], denom
+
+
+def _norm_key(group: Group, flat):
+    """Sort key of a flat weight: norm descending, then coordinates ascending.
+
+    The key holds the integer numerators of the ``value_fraction`` proxy of
+    ``cartan_det * <x,x>`` and of each coordinate, so no Fraction is built.
+    Flats compared with each other must share one denominator.
+    """
+    return (
+        -_value_numerator(*group._det_norm_pair(flat)),
+        tuple(_value_numerator(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)),
+    )
+
+
+def _by_norm(group: Group, items) -> list:
+    """``(weight, value)`` pairs ordered by :func:`_norm_key` of the weights."""
+    items = list(items)
+    flats, _ = _flatten([w for w, _ in items])
+    keys = [_norm_key(group, flat) for flat in flats]
+    return [items[k] for k in sorted(range(len(items)), key=keys.__getitem__)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +149,8 @@ class Decomposition:
         self.parts[dominant] = self.parts.get(dominant, 0) + multiplicity
 
     def sorted_parts(self) -> list[tuple[Weight, int]]:
-        """Parts ordered by descending exact norm, then ascending coords."""
-        return sorted(self.parts.items(), key=_NormKey(self.group))
+        """Parts ordered by descending norm, then ascending coords."""
+        return _by_norm(self.group, self.parts.items())
 
     def total_points(self) -> int:
         return sum(m * self.group.orbit_size(w) for w, m in self.parts.items())
@@ -202,20 +163,6 @@ class Decomposition:
         )
 
 
-class _NormKey:
-    """Sort key: norm descending, then real-embedded coordinates ascending."""
-
-    def __init__(self, group):
-        self.group = group
-
-    def __call__(self, item):
-        w = item[0] if isinstance(item, tuple) else item
-        return (
-            -value_fraction(self.group.inner(w, w)),
-            tuple(value_fraction(c) for c in w.coords),
-        )
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -225,10 +172,9 @@ def generate_orbit(group: Group, dominant: Weight) -> Orbit:
     group._own(dominant)
     if not dominant.is_dominant:
         raise NonDominantError(f"orbit seed {dominant} is not dominant")
-    flats, denom = _flatten([dominant], group.rank)
+    flats, denom = _flatten([dominant])
     seen = _orbit_flats(group, flats[0])
-    ordered = sorted(seen, key=_element_sort_key)
-    elements = tuple(_unflatten(group, f, denom) for f in ordered)
+    elements = tuple(_unflatten(group, sorted(seen, key=_element_sort_key), denom))
     return Orbit(group, dominant, elements)
 
 
@@ -266,17 +212,17 @@ def orbit_product(orbits, max_points: int = MAX_MATERIALIZED_POINTS) -> WeightMu
         raise SizeLimitError(
             f"product has {total} points (> {max_points}); use decompose_product"
         )
-    out = WeightMultiset(group)
-    partial = {w: 1 for w in orbits[0].elements}
-    for orbit in orbits[1:]:
-        nxt: dict[Weight, int] = {}
+    factors, denom = _flatten_lists([orbit.elements for orbit in orbits])
+    partial = dict.fromkeys(factors[0], 1)
+    for factor in factors[1:]:
+        nxt: dict[tuple[int, ...], int] = {}
         for w, count in partial.items():
-            for v in orbit.elements:
-                s = w + v
+            for v in factor:
+                s = tuple([a + b for a, b in zip(w, v)])
                 nxt[s] = nxt.get(s, 0) + count
         partial = nxt
-    out.tally = partial
-    return out
+    weights = _unflatten(group, partial, denom)
+    return WeightMultiset(group, dict(zip(weights, partial.values())))
 
 
 def decompose(multiset: WeightMultiset) -> Decomposition:
@@ -302,11 +248,16 @@ def decompose(multiset: WeightMultiset) -> Decomposition:
 
 
 def decompose_product(orbits) -> Decomposition:
-    """Decomposition of a product of orbits via a streaming dominant tally.
+    """Decomposition of a product of orbits by the stabilizer product rule.
 
-    Left-associates: the running decomposition is multiplied by one more
-    orbit at a time, so memory stays proportional to the number of dominant
-    points rather than the product size.
+    Left-associates: each dominant ``lambda`` of the running decomposition,
+    with multiplicity ``m``, is multiplied by the next orbit ``O_mu`` by
+    reflecting every ``lambda + y``, ``y`` in ``O_mu``, to the dominant
+    chamber; a dominant ``nu`` reached ``count`` times gains multiplicity
+    ``m * |O_lambda| * count / |O_nu|``.  The first product iterates over
+    the smaller of the two orbits.  No sum point set is formed, so work
+    grows with the number of dominants times the size of the iterated orbit.
+    The bookkeeping identity ``sum(mult * |O_nu|) == prod |O_i|`` is checked.
     """
     orbits = list(orbits)
     if len(orbits) < 2:
@@ -315,89 +266,44 @@ def decompose_product(orbits) -> Decomposition:
     for orbit in orbits:
         if orbit.group is not group:
             raise GroupMismatchError("decompose_product requires a single group")
-    result = _pair_decompose(orbits[0], orbits[1])
-    for orbit in orbits[2:]:
-        merged = Decomposition(group)
-        for dominant, mult in result.parts.items():
-            partial = _pair_decompose(generate_orbit(group, dominant), orbit)
-            for w, m in partial.parts.items():
-                merged.add(w, mult * m)
-        result = merged
-    return result
+    first, second = sorted(orbits[:2], key=len, reverse=True)
+    iterated = [second, *orbits[2:]]
+    for orbit in iterated:
+        if len(orbit.elements) != group.orbit_size(orbit.dominant):
+            raise MalformedMultisetError(
+                f"orbit of {orbit.dominant} has {len(orbit.elements)} elements, "
+                f"not {group.orbit_size(orbit.dominant)}"
+            )
+    ((seed,), *factors), denom = _flatten_lists(
+        [[first.dominant], *(orbit.elements for orbit in iterated)])
 
+    def orbit_size(flat) -> int:
+        return group._orbit_size_of_zeros(
+            [not (flat[i] or flat[i + 1]) for i in range(0, len(flat), 2)])
 
-def _pair_decompose(left: Orbit, right: Orbit) -> Decomposition:
-    group = left.group
-    lf, ld = _flatten(left.elements, group.rank)
-    rf, rd = _flatten(right.elements, group.rank)
-    # rescale both sides to the common denominator so sums line up
-    denom = lcm(ld, rd)
-    if denom != ld:
-        k = denom // ld
-        lf = [tuple(v * k for v in f) for f in lf]
-    if denom != rd:
-        k = denom // rd
-        rf = [tuple(v * k for v in f) for f in rf]
-    n_pairs = len(lf) * len(rf)
-    bound = max(
-        max(abs(v) for f in lf for v in f),
-        max(abs(v) for f in rf for v in f),
-    )
-    if n_pairs >= _VECTOR_THRESHOLD and bound < _INT64_SAFE_BOUND:
-        tally = _vector_pair_tally(lf, rf)
-    else:
-        tally = _python_pair_tally(lf, rf)
-    out = Decomposition(group)
-    covered = 0
-    for flat, count in tally.items():
-        w = _unflatten(group, flat, denom)
-        out.add(w, count)
-        covered += count * group.orbit_size(w)
-    if covered != n_pairs:
+    parts = {seed: 1}
+    for factor in factors:
+        merged: dict[tuple[int, ...], int] = {}
+        for lam, mult in parts.items():
+            tally: dict[tuple[int, ...], int] = {}
+            for y in factor:
+                nu, _ = group._to_dominant_flat(tuple([a + b for a, b in zip(lam, y)]))
+                tally[nu] = tally.get(nu, 0) + 1
+            lam_size = orbit_size(lam)
+            for nu, count in tally.items():
+                m, rest = divmod(lam_size * count, orbit_size(nu))
+                if rest:
+                    raise MalformedMultisetError(
+                        f"{count} sums reach a dominant of an orbit of "
+                        f"{orbit_size(nu)} points from one of {lam_size}"
+                    )
+                merged[nu] = merged.get(nu, 0) + mult * m
+        parts = merged
+    total = prod(len(orbit.elements) for orbit in orbits)
+    covered = sum(mult * orbit_size(nu) for nu, mult in parts.items())
+    if covered != total:
         raise MalformedMultisetError(
-            f"dominant tally covers {covered} of {n_pairs} product points"
+            f"dominant tally covers {covered} of {total} product points"
         )
-    return out
-
-
-def _python_pair_tally(lf, rf):
-    tally: dict[tuple, int] = {}
-    for a in lf:
-        for b in rf:
-            s = tuple(x + y for x, y in zip(a, b))
-            if _flat_is_dominant(s):
-                tally[s] = tally.get(s, 0) + 1
-    return tally
-
-
-def _vector_pair_tally(lf, rf, chunk_rows: int = 64):
-    """Vectorized dominant tally over all pairwise sums (exact int64 math)."""
-    A = np.asarray(lf, dtype=np.int64)
-    B = np.asarray(rf, dtype=np.int64)
-    tally: dict[tuple, int] = {}
-    for start in range(0, A.shape[0], chunk_rows):
-        block = A[start:start + chunk_rows]
-        sums = block[:, None, :] + B[None, :, :]  # (c, nB, 2r)
-        a = sums[..., 0::2]
-        b = sums[..., 1::2]
-        s = 2 * a + b
-        ss = s * s
-        bb = 5 * b * b
-        nonneg = np.where(
-            (s >= 0) & (b >= 0),
-            True,
-            np.where(
-                (s <= 0) & (b <= 0),
-                False,
-                np.where(s > 0, ss >= bb, bb >= ss),
-            ),
-        )
-        mask = nonneg.all(axis=-1)
-        if not mask.any():
-            continue
-        rows = sums[mask]
-        uniq, counts = np.unique(rows, axis=0, return_counts=True)
-        for row, count in zip(uniq.tolist(), counts.tolist()):
-            key = tuple(row)
-            tally[key] = tally.get(key, 0) + count
-    return tally
+    weights = _unflatten(group, parts, denom)
+    return Decomposition(group, dict(zip(weights, parts.values())))

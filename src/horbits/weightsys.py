@@ -29,9 +29,9 @@ from math import floor, gcd
 import numpy as np
 
 from .errors import DomainError, NonDominantError, SizeLimitError
-from .golden import GoldenNumber, TAU, _value_numerator
-from .groups import Group, Weight, H3
-from .orbits import _NormKey, _sign_pair
+from .golden import GoldenNumber, TAU, _sign_pair
+from .groups import Group, Weight, H3, _unflatten
+from .orbits import _norm_key
 
 __all__ = [
     "SubtractionNode",
@@ -188,12 +188,12 @@ def build_tree(group: Group, seed: Weight, max_nodes: int = MAX_TREE_NODES) -> S
         edges.append(edge)
         nodes.append(SubtractionNode(edge.target, first))
     arrivals = {materialize(f): n for f, n in arrivals_flat.items()}
-    dominants = [
-        (materialize(f), max(1, arrivals_flat[f]))
-        for f in queue
-        if all(_sign_pair(f[2 * i], f[2 * i + 1]) >= 0 for i in range(rank))
-    ]
-    dominants.sort(key=_NormKey(group))
+    lower = sorted(
+        (f for f in queue
+         if all(_sign_pair(f[2 * i], f[2 * i + 1]) >= 0 for i in range(rank))),
+        key=lambda f: _norm_key(group, f),
+    )
+    dominants = [(materialize(f), max(1, arrivals_flat[f])) for f in lower]
     return SubtractionTree(group, seed, nodes, edges, arrivals, dominants)
 
 
@@ -274,25 +274,10 @@ def weight_system_dominants(group: Group, seed: Weight,
         frontier = level[new]
         signs = signs[new]
 
-    numbers: dict[tuple[int, int], GoldenNumber] = {}
-    decorated = []
-    for key, count in arrivals.items():
-        flat = np.frombuffer(key, dtype=np.int64).tolist()
-        pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(rank)]
-        # exact integer numerators of the value_fraction sort key
-        sort_key = (
-            -_value_numerator(*group._det_norm_pair(flat)),
-            tuple(_value_numerator(*pair) for pair in pairs),
-        )
-        coords = []
-        for pair in pairs:
-            number = numbers.get(pair)
-            if number is None:
-                number = numbers[pair] = GoldenNumber(*pair)
-            coords.append(number)
-        decorated.append((sort_key, Weight(group, tuple(coords)), max(1, count)))
-    decorated.sort(key=lambda item: item[0])
-    return [(w, count) for _, w, count in decorated]
+    counts = {tuple(np.frombuffer(key, dtype=np.int64).tolist()): max(1, count)
+              for key, count in arrivals.items()}
+    flats = sorted(counts, key=lambda flat: _norm_key(group, flat))
+    return list(zip(_unflatten(group, flats, 1), (counts[f] for f in flats)))
 
 
 # |2a + b| and |b| up to 2**30 keep the squares taken by _signs below 2**63.

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -146,6 +147,30 @@ def test_to_dominant_constant_on_orbit(rng):
             y = H3.reflect(rng.randint(1, 3), y)
         assert H3.to_dominant(y)[0] == dom
         assert H3.to_dominant(dom) == (dom, 0)
+
+
+def _reference_to_dominant(group, x):
+    """Lowest-index negative coordinate first, one ``Group.reflect`` at a time."""
+    steps = 0
+    while True:
+        for i, c in enumerate(x.coords):
+            if c < 0:
+                x = group.reflect(i + 1, x)
+                steps += 1
+                break
+        else:
+            return x, steps
+
+
+def test_to_dominant_matches_reflect_loop(rng):
+    def part():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+
+    for group in ALL_GROUPS:
+        for _ in range(20):
+            x = group.weight(*[golden(part(), part() if rng.random() < 0.5 else 0)
+                               for _ in range(group.rank)])
+            assert group.to_dominant(x) == _reference_to_dominant(group, x)
 
 
 def test_orbit_size_rejects_non_dominant():

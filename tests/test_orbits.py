@@ -11,6 +11,7 @@ from horbits.errors import (
 from horbits.golden import golden
 from horbits.groups import H2, H3, H4
 from horbits.orbits import (
+    Orbit,
     WeightMultiset,
     decompose,
     decompose_product,
@@ -146,19 +147,25 @@ def test_streaming_matches_materialized(rng):
             assert decompose_product([a, b]) == decompose(orbit_product([a, b]))
 
 
-def test_streaming_vector_path_matches_python_path():
-    import horbits.orbits as orbits_mod
-    a = generate_orbit(H3, H3.weight(1, 1, 0))
-    b = generate_orbit(H3, H3.weight(0, 1, 0))
-    forced = orbits_mod._VECTOR_THRESHOLD
-    try:
-        orbits_mod._VECTOR_THRESHOLD = 1
-        fast = decompose_product([a, b])
-        orbits_mod._VECTOR_THRESHOLD = 10 ** 12
-        slow = decompose_product([a, b])
-    finally:
-        orbits_mod._VECTOR_THRESHOLD = forced
-    assert fast == slow
+def test_product_rule_matches_materialized():
+    cases = [
+        (H4, ["1,0,0,0", "0,0,0,1"]),
+        (H3, ["1/2,0,1t", "0,1/3,1"]),
+        (H3, ["1,0,0", "0,1t,0", "0,0,1/2"]),
+    ]
+    for group, coords in cases:
+        orbits = [generate_orbit(group, group.parse_weight(c)) for c in coords]
+        assert decompose_product(orbits) == decompose(orbit_product(orbits))
+
+
+def test_product_rejects_truncated_orbit():
+    # regular big orbit: every count divides, so only the size checks catch it
+    big = generate_orbit(H3, H3.weight(1, 1, 1))
+    small = generate_orbit(H3, H3.weight(1, 0, 0))
+    for orbit in (big, small):
+        truncated = Orbit(H3, orbit.dominant, orbit.elements[:-1])
+        with pytest.raises(MalformedMultisetError):
+            decompose_product([truncated, big if orbit is small else small])
 
 
 def test_product_is_commutative(rng):
