@@ -23,8 +23,14 @@ from .indices import (
     subgroup_rank,
 )
 from .orbits import _by_norm, decompose_product, generate_orbit, orbit_product
-from .weightsys import build_tree, tree_to_dot, tree_to_json, weight_system_dominants
-from .geometry import export_json, export_obj, nested_polyhedra
+from .weightsys import (
+    MAX_TREE_NODES,
+    build_tree,
+    tree_to_dot,
+    tree_to_json,
+    weight_system_dominants,
+)
+from .geometry import _write_text, export_json, export_obj, nested_polyhedra
 
 MAX_LISTED_POINTS = 100_000
 
@@ -85,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("coords")
     p.add_argument("--dot")
     p.add_argument("--json", dest="json_path")
+    _add_max_nodes(p)
 
     p = sub.add_parser("export", help="write nested-polyhedra geometry to a file")
     p.add_argument("group")
@@ -92,8 +99,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nested", action="store_true", required=True)
     p.add_argument("--format", choices=("obj", "json"), required=True)
     p.add_argument("--out", required=True)
+    _add_max_nodes(p)
 
     return parser
+
+
+def _add_max_nodes(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-nodes", type=int, default=MAX_TREE_NODES,
+        help=f"size guard of the weight-system closure (default {MAX_TREE_NODES})",
+    )
+
+
+def _max_nodes(args) -> int:
+    if args.max_nodes < 1:
+        raise _UsageError("--max-nodes must be positive")
+    return args.max_nodes
 
 
 def main(argv=None) -> int:
@@ -216,15 +237,16 @@ def _cmd_embed_index(args) -> int:
 def _cmd_lower_orbits(args) -> int:
     group = get_group(args.group)
     seed = _parse_coords(group, args.coords)
+    max_nodes = _max_nodes(args)
     if args.dot or args.json_path:
-        tree = build_tree(group, seed)
+        tree = build_tree(group, seed, max_nodes=max_nodes)
         dominants = tree.lower_dominants
         if args.dot:
-            _write(args.dot, tree_to_dot(tree))
+            _write_text(args.dot, tree_to_dot(tree))
         if args.json_path:
-            _write(args.json_path, tree_to_json(tree))
+            _write_text(args.json_path, tree_to_json(tree))
     else:
-        dominants = weight_system_dominants(group, seed)
+        dominants = weight_system_dominants(group, seed, max_nodes=max_nodes)
     for w, count in dominants:
         print(f"{w.text()} x{count}")
     return 0
@@ -233,7 +255,7 @@ def _cmd_lower_orbits(args) -> int:
 def _cmd_export(args) -> int:
     group = get_group(args.group)
     seed = _parse_coords(group, args.coords)
-    poly = nested_polyhedra(group, seed)
+    poly = nested_polyhedra(group, seed, max_nodes=_max_nodes(args))
     if args.format == "obj":
         export_obj(poly, args.out)
     else:
@@ -242,14 +264,6 @@ def _cmd_export(args) -> int:
     n_edges = sum(len(s.edges) for s in poly.shells)
     print(f"wrote {args.out}: {len(poly.shells)} shells, {n_points} points, {n_edges} edges")
     return 0
-
-
-def _write(path, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
 if __name__ == "__main__":

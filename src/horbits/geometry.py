@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .groups import Group, Weight
 from .orbits import generate_orbit
-from .weightsys import weight_system_dominants
+from .weightsys import MAX_TREE_NODES, weight_system_dominants
 
 __all__ = [
     "CartesianEmbedding",
@@ -80,14 +80,16 @@ def _minimal_distance_edges(points: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(i), int(j)) for i, j in zip(iu[0][keep], iu[1][keep]))
 
 
-def nested_polyhedra(group: Group, seed: Weight, with_edges: bool | None = None) -> NestedPolyhedra:
+def nested_polyhedra(group: Group, seed: Weight, with_edges: bool | None = None,
+                     max_nodes: int = MAX_TREE_NODES) -> NestedPolyhedra:
     """One shell per lower-orbit dominant of the seed's weight system.
 
     Shells are ordered by descending radius.  Minimal-distance edges are
     computed for ranks up to 3 (pairwise distances over rank-4 orbits are
     too large to be useful); ``with_edges`` overrides the default.
+    ``max_nodes`` is the size guard of the weight-system closure.
     """
-    dominants = weight_system_dominants(group, seed)
+    dominants = weight_system_dominants(group, seed, max_nodes=max_nodes)
     embedding = embed(group)
     if with_edges is None:
         with_edges = group.rank <= 3
@@ -154,6 +156,7 @@ def export_json(poly: NestedPolyhedra, path) -> None:
 
 
 def _write_text(path, text: str) -> None:
+    """Write a text file; an ``OSError`` becomes a ``DomainError`` naming the path."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -204,12 +204,16 @@ class GoldenNumber:
     # -- text form ---------------------------------------------------------
 
     def __str__(self):
-        if self.tau == 0:
-            return str(self.rat)
-        if self.rat == 0:
-            return f"{self.tau}t"
-        sep = "+" if self.tau > 0 else "-"
-        return f"{self.rat}{sep}{abs(self.tau)}t"
+        # string tests only: this runs once per coordinate of every export
+        q, r = self.rat, self.tau
+        if not r:
+            return str(q)
+        text = str(r)
+        if not q:
+            return text + "t"
+        if text[0] != "-":
+            text = "+" + text
+        return f"{q}{text}t"
 
     def __repr__(self):
         return f"GoldenNumber({self.rat!r}, {self.tau!r})"

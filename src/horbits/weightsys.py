@@ -168,32 +168,24 @@ def build_tree(group: Group, seed: Weight, max_nodes: int = MAX_TREE_NODES) -> S
                         f"weight system exceeds {max_nodes} nodes; raise max_nodes"
                     )
 
-    weights: dict[tuple, Weight] = {}
-
-    def materialize(flat) -> Weight:
-        w = weights.get(flat)
-        if w is None:
-            w = Weight(group, tuple(
-                GoldenNumber(flat[2 * i], flat[2 * i + 1]) for i in range(rank)
-            ))
-            weights[flat] = w
-        return w
-
-    nodes = [SubtractionNode(materialize(seed_flat), True)]
+    # queue holds every distinct flat row once: one Weight per row, and one
+    # GoldenNumber per distinct coordinate pair
+    weights = dict(zip(queue, _unflatten(group, queue, 1)))
+    nodes = [SubtractionNode(weights[seed_flat], True)]
     edges = []
     for source, target, (ma, mb), i, first in events:
         edge = SubtractionEdge(
-            materialize(source), materialize(target), GoldenNumber(ma, mb), i + 1
+            weights[source], weights[target], GoldenNumber(ma, mb), i + 1
         )
         edges.append(edge)
         nodes.append(SubtractionNode(edge.target, first))
-    arrivals = {materialize(f): n for f, n in arrivals_flat.items()}
+    arrivals = {weights[f]: n for f, n in arrivals_flat.items()}
     lower = sorted(
         (f for f in queue
          if all(_sign_pair(f[2 * i], f[2 * i + 1]) >= 0 for i in range(rank))),
         key=lambda f: _norm_key(group, f),
     )
-    dominants = [(materialize(f), max(1, arrivals_flat[f])) for f in lower]
+    dominants = [(weights[f], max(1, arrivals_flat[f])) for f in lower]
     return SubtractionTree(group, seed, nodes, edges, arrivals, dominants)
 
 
@@ -540,42 +532,79 @@ def closed_form_lower_orbits(family: str, a: int) -> set[Weight]:
 
 
 def tree_to_dot(tree: SubtractionTree) -> str:
-    """DOT rendering: one node per distinct weight, revisited weights in gray."""
+    """DOT rendering: one node per distinct weight, revisited weights in gray.
+
+    Nodes are named ``n0, n1, ...`` in first-visit order.  Edge endpoints are
+    looked up by object identity; a built tree holds one object per distinct
+    weight, so only endpoints held by another, equal object are matched by
+    value.
+    """
     lines = ["digraph weight_system {", "  rankdir=TB;", "  node [shape=box];"]
     order = [n.weight for n in tree.nodes if n.first_visit]
-    ids = {w: f"n{i}" for i, w in enumerate(order)}
+    ids = {id(w): f"n{i}" for i, w in enumerate(order)}
+    arrivals = {id(w): count for w, count in tree.arrivals.items()}
     for w in order:
-        style = ' color=gray fontcolor=gray' if tree.arrivals[w] > 1 else ""
-        lines.append(f'  {ids[w]} [label="({w.text()})"{style}];')
+        count = arrivals[id(w)] if id(w) in arrivals else tree.arrivals[w]
+        style = ' color=gray fontcolor=gray' if count > 1 else ""
+        lines.append(f'  {ids[id(w)]} [label="({w.text()})"{style}];')
+    by_value = None
     for e in tree.edges:
-        lines.append(f'  {ids[e.source]} -> {ids[e.target]} [label="{e.label()}"];')
+        source = ids.get(id(e.source))
+        target = ids.get(id(e.target))
+        if source is None or target is None:
+            if by_value is None:
+                by_value = {w: f"n{i}" for i, w in enumerate(order)}
+            source = source or by_value[e.source]
+            target = target or by_value[e.target]
+        lines.append(f'  {source} -> {target} [label="{e.label()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def _json_list(items: list[str], indent: int) -> str:
+    """``json.dumps(items, indent=2)`` for a list nested ``indent`` spaces deep."""
+    if not items:
+        return "[]"
+    pad = " " * indent
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
 def tree_to_json(tree: SubtractionTree) -> str:
-    payload = {
-        "group": tree.group.tag,
-        "seed": list(tree.seed.texts()),
-        "nodes": [
-            {
-                "coords": list(n.weight.texts()),
-                "first_visit": n.first_visit,
-            }
-            for n in tree.nodes
-        ],
-        "edges": [
-            {
-                "from": list(e.source.texts()),
-                "to": list(e.target.texts()),
-                "multiple": str(e.multiple),
-                "root_index": e.root_index,
-            }
-            for e in tree.edges
-        ],
-        "lower_dominants": [
-            {"coords": list(w.texts()), "count": c}
-            for w, c in tree.lower_dominants
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """JSON of the tree: group, seed, node and edge records, lower dominants.
+
+    Byte for byte ``json.dumps(payload, indent=2) + "\n"``, written from
+    templates: each distinct weight object's coordinate block is rendered
+    once and shared by all node and edge records that hold it.
+    """
+    blocks: dict[int, str] = {}
+
+    def coords(w: Weight) -> str:
+        block = blocks.get(id(w))
+        if block is None:
+            block = blocks[id(w)] = _json_list([json.dumps(t) for t in w.texts()], 6)
+        return block
+
+    # each record list is joined as soon as it is built, so the records and
+    # the finished text are never held at once
+    nodes = _json_list([
+        '{\n      "coords": %s,\n      "first_visit": %s\n    }'
+        % (coords(n.weight), "true" if n.first_visit else "false")
+        for n in tree.nodes
+    ], 2)
+    edges = _json_list([
+        '{\n      "from": %s,\n      "to": %s,\n      "multiple": %s,'
+        '\n      "root_index": %d\n    }'
+        % (coords(e.source), coords(e.target), json.dumps(str(e.multiple)), e.root_index)
+        for e in tree.edges
+    ], 2)
+    dominants = _json_list([
+        '{\n      "coords": %s,\n      "count": %d\n    }' % (coords(w), c)
+        for w, c in tree.lower_dominants
+    ], 2)
+    return (
+        '{\n  "group": %s,\n  "seed": %s,\n  "nodes": %s,\n  "edges": %s,'
+        '\n  "lower_dominants": %s\n}\n'
+        % (json.dumps(tree.group.tag),
+           _json_list([json.dumps(t) for t in tree.seed.texts()], 2),
+           nodes, edges, dominants)
+    )

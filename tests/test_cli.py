@@ -157,6 +157,32 @@ def test_lower_orbits_files(capsys, tmp_path):
     assert payload["seed"] == ["1t", "1"]
 
 
+def test_lower_orbits_max_nodes(capsys, tmp_path):
+    # the closure of H3 (2,0,0) has more than three points, in the tree and
+    # in the root cone
+    code, _, err = run(capsys, "lower-orbits", "H3", "2,0,0", "--max-nodes", "3")
+    assert code == 3
+    assert "exceeds 3 nodes" in err
+    code, _, err = run(capsys, "lower-orbits", "H3", "2,0,0", "--max-nodes", "3",
+                       "--json", str(tmp_path / "tree.json"))
+    assert code == 3
+    assert "exceeds 3 nodes" in err
+    assert not (tmp_path / "tree.json").exists()
+    assert run(capsys, "lower-orbits", "H3", "2,0,0")[0] == 0
+    assert run(capsys, "lower-orbits", "H3", "2,0,0", "--max-nodes", "0")[0] == 2
+
+
+def test_export_max_nodes(capsys, tmp_path):
+    path = tmp_path / "shells.obj"
+    args = ("export", "H3", "2,0,0", "--nested", "--format", "obj", "--out", str(path))
+    code, _, err = run(capsys, *args, "--max-nodes", "3")
+    assert code == 3
+    assert "exceeds 3 nodes" in err
+    assert not path.exists()
+    assert run(capsys, *args)[0] == 0
+    assert path.exists()
+
+
 def test_export_obj(capsys, tmp_path):
     path = tmp_path / "ico.obj"
     code, out, _ = run(capsys, "export", "H3", "1,0,0", "--nested",

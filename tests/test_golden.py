@@ -133,6 +133,25 @@ def test_text_round_trip(x):
     assert parse_golden(str(x)) == x
 
 
+def _text_by_comparisons(x):
+    """The text form spelled out with Fraction comparisons and ``abs``."""
+    if x.tau == 0:
+        return str(x.rat)
+    if x.rat == 0:
+        return f"{x.tau}t"
+    sep = "+" if x.tau > 0 else "-"
+    return f"{x.rat}{sep}{abs(x.tau)}t"
+
+
+parts_with_zero = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@given(st.builds(GoldenNumber, parts_with_zero, parts_with_zero))
+def test_text_matches_comparison_form(x):
+    assert str(x) == _text_by_comparisons(x)
+    assert parse_golden(str(x)) == x
+
+
 @given(goldens, goldens)
 def test_value_fraction_orders_like_sign(x, y):
     if x == y:

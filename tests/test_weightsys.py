@@ -1,14 +1,20 @@
 import json
+import re
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from horbits import weightsys
 from horbits.errors import DomainError, NonDominantError, SizeLimitError
 from horbits.golden import TAU, golden
-from horbits.groups import A2, H2, H3, H4
+from horbits.groups import A2, H2, H3, H4, Weight
 from horbits.orbits import generate_orbit
 from horbits.weightsys import (
+    SubtractionEdge,
+    SubtractionNode,
+    SubtractionTree,
     build_tree,
     closed_form_lower_orbits,
     subtraction_children,
@@ -332,3 +338,91 @@ def test_json_export_round_trip():
                if entry["first_visit"]}
     assert rebuilt == tree.node_weights()
     assert len(payload["edges"]) == len(tree.edges)
+
+
+def _json_payload(tree):
+    """The tree's JSON payload, built field by field for ``json.dumps``."""
+    return {
+        "group": tree.group.tag,
+        "seed": list(tree.seed.texts()),
+        "nodes": [
+            {"coords": list(n.weight.texts()), "first_visit": n.first_visit}
+            for n in tree.nodes
+        ],
+        "edges": [
+            {
+                "from": list(e.source.texts()),
+                "to": list(e.target.texts()),
+                "multiple": str(e.multiple),
+                "root_index": e.root_index,
+            }
+            for e in tree.edges
+        ],
+        "lower_dominants": [
+            {"coords": list(w.texts()), "count": c}
+            for w, c in tree.lower_dominants
+        ],
+    }
+
+
+def _hand_built_trees():
+    half = golden(Fraction(1, 2), Fraction(-3, 4))
+    seed = H2.weight(golden(Fraction(5, 2), Fraction(-1, 3)), golden(0, Fraction(7, 6)))
+    alpha = H2.simple_roots[0]
+    target = seed - alpha.scaled(half)
+    with_edge = SubtractionTree(
+        H2, seed,
+        [SubtractionNode(seed, True), SubtractionNode(target, True)],
+        [SubtractionEdge(seed, target, half, 1)],
+        {seed: 0, target: 1},
+        [(seed, 1)],
+    )
+    lone = SubtractionTree(H2, seed, [SubtractionNode(seed, True)], [], {seed: 0}, [])
+    return [with_edge, lone]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_tree(H2, w2("1t,1")),
+    lambda: build_tree(H3, w3("2,1t,1")),
+    lambda: build_tree(H4, H4.weight(1, 0, 0, 1)),
+    lambda: _hand_built_trees()[0],
+    lambda: _hand_built_trees()[1],
+], ids=["H2-t1", "H3-2t1", "H4-1001", "hand-edge", "hand-no-edges"])
+def test_json_export_matches_json_dumps(make):
+    tree = make()
+    assert tree_to_json(tree) == json.dumps(_json_payload(tree), indent=2) + "\n"
+
+
+_DOT_NODE = re.compile(r'  (n\d+) \[label="\((.*)\)"( color=gray fontcolor=gray)?\];')
+_DOT_EDGE = re.compile(r'  (n\d+) -> (n\d+) \[label="(.*)"\];')
+
+
+def test_dot_ids_in_first_visit_order():
+    tree = build_tree(H2, w2("1t,1"))
+    lines = tree_to_dot(tree).splitlines()
+    nodes = [m for m in map(_DOT_NODE.fullmatch, lines) if m]
+    first = [n.weight for n in tree.nodes if n.first_visit]
+    assert [m.group(1) for m in nodes] == [f"n{i}" for i in range(len(first))]
+    assert [m.group(2) for m in nodes] == [w.text() for w in first]
+    assert [bool(m.group(3)) for m in nodes] == [tree.arrivals[w] > 1 for w in first]
+    assert sum(bool(m.group(3)) for m in nodes) == 2
+    names = {m.group(2): m.group(1) for m in nodes}
+    edges = [m.groups() for m in map(_DOT_EDGE.fullmatch, lines) if m]
+    assert edges == [(names[e.source.text()], names[e.target.text()], e.label())
+                     for e in tree.edges]
+
+
+def test_dot_matches_equal_weight_objects_by_value():
+    tree = build_tree(H3, w3("2,0,0"))
+
+    def copy(w):
+        return Weight(w.group, tuple(golden(c.rat, c.tau) for c in w.coords))
+
+    copied = replace(
+        tree,
+        edges=[replace(e, source=copy(e.source), target=copy(e.target))
+               for e in tree.edges],
+        arrivals={copy(w): n for w, n in tree.arrivals.items()},
+    )
+    assert tree_to_dot(copied) == tree_to_dot(tree)
+    assert tree_to_json(copied) == tree_to_json(tree)
