@@ -25,6 +25,7 @@ from .indices import (
 from .orbits import _by_norm, decompose_product, generate_orbit, orbit_product
 from .weightsys import (
     MAX_TREE_NODES,
+    _RAISE_MAX_NODES,
     build_tree,
     tree_to_dot,
     tree_to_json,
@@ -129,7 +130,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the closure's node guards name the Python parameter: name the flag
+        message = str(exc).replace(_RAISE_MAX_NODES, "raise --max-nodes")
+        print(f"error: {message}", file=sys.stderr)
         return 3
 
 

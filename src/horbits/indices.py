@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, GroupMismatchError, NonDominantError
-from .golden import GoldenNumber, TAU, ZERO, value_fraction
+from .golden import GoldenNumber, TAU, ZERO
 from .groups import A1, A2, Group, H2, H3, Weight, _flatten, get_group
 from .orbits import Decomposition, WeightMultiset, _by_norm, generate_orbit
 
@@ -277,10 +277,10 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
         child, _ = rule.child.to_dominant(rule.project(w))
         key = (height, child)
         tally[key] = tally.get(key, 0) + 1
-    # order by child first, then (stably) by descending height
+    # order by child first, then (stably) by descending height, compared exactly
     by_child = _by_norm(rule.child, [(c, (h, n)) for (h, c), n in tally.items()])
     layers = [BranchLayer(h, c, n) for c, (h, n) in by_child]
-    layers.sort(key=lambda l: -value_fraction(l.height))
+    layers.sort(key=lambda l: l.height, reverse=True)
     return layers
 
 

@@ -13,8 +13,11 @@ multiplicity of the orbit O_nu in O_lambda x O_mu is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from itertools import islice
 from math import prod
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -23,7 +26,7 @@ from .errors import (
     NonDominantError,
     SizeLimitError,
 )
-from .golden import GoldenNumber, _value_numerator
+from .golden import GoldenNumber, _sign_pair, _value_numerator
 from .groups import Group, Weight, _flatten, _reflect_flat, _unflatten
 
 __all__ = [
@@ -72,25 +75,44 @@ def _flatten_lists(lists) -> tuple[list[list[tuple[int, ...]]], int]:
     return [list(islice(rows, len(weights))) for weights in lists], denom
 
 
-def _norm_key(group: Group, flat):
-    """Sort key of a flat weight: norm descending, then coordinates ascending.
+def _pair_ranks(pairs: list[tuple[int, int]]) -> list[int]:
+    """Rank of each integer pair ``(a, b)`` among the distinct values ``a + b*tau``.
 
-    The key holds the integer numerators of the ``value_fraction`` proxy of
-    ``cartan_det * <x,x>`` and of each coordinate, so no Fraction is built.
-    Flats compared with each other must share one denominator.
+    The distinct pairs are presorted by the ``value_fraction`` proxy and the
+    result is checked with the exact sign test of each adjacent difference;
+    only if the proxy misordered a pair are they sorted again by exact
+    comparison.  Distinct pairs have distinct values, so ranks never tie.
     """
-    return (
-        -_value_numerator(*group._det_norm_pair(flat)),
-        tuple(_value_numerator(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)),
-    )
+    distinct = sorted(set(pairs), key=lambda p: _value_numerator(*p))
+    if any(_sign_pair(q[0] - p[0], q[1] - p[1]) <= 0
+           for p, q in zip(distinct, distinct[1:])):
+        distinct.sort(key=cmp_to_key(lambda p, q: _sign_pair(p[0] - q[0], p[1] - q[1])))
+    rank = {p: k for k, p in enumerate(distinct)}
+    return [rank[p] for p in pairs]
+
+
+def _norm_order(flats, norms) -> list[int]:
+    """Positions of flat rows in listing order, decided by exact comparison.
+
+    The order is ``cartan_det * <x,x>`` descending, then the coordinates
+    ascending; equal rows keep their input order.  ``flats`` are integer rows
+    ``(a_1, b_1, ..., a_r, b_r)`` over one shared denominator and ``norms``
+    their ``cartan_det * <x,x>`` pairs.
+    """
+    if not flats:
+        return []
+    width = len(flats[0])
+    coords = _pair_ranks([(f[i], f[i + 1]) for f in flats for i in range(0, width, 2)])
+    keys = np.array(coords, dtype=np.int64).reshape(len(flats), width // 2)
+    return np.lexsort((*keys.T[::-1], -np.array(_pair_ranks(norms)))).tolist()
 
 
 def _by_norm(group: Group, items) -> list:
-    """``(weight, value)`` pairs ordered by :func:`_norm_key` of the weights."""
+    """``(weight, value)`` pairs ordered by :func:`_norm_order` of the weights."""
     items = list(items)
     flats, _ = _flatten([w for w, _ in items])
-    keys = [_norm_key(group, flat) for flat in flats]
-    return [items[k] for k in sorted(range(len(items)), key=keys.__getitem__)]
+    order = _norm_order(flats, [group._det_norm_pair(flat) for flat in flats])
+    return [items[k] for k in order]
 
 
 # ---------------------------------------------------------------------------

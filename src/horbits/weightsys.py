@@ -14,10 +14,21 @@ non-negative are the dominant points of the lower orbits nested inside the
 seed orbit.
 
 :func:`weight_system_dominants` computes the same dominants in one pass over
-the closure, without recording edges: a breadth-first search on flat int64
-coordinate rows, one vectorized level at a time, with a global visited set
-of exact keys, pruning to the positive root cone, and size and int64-range
-guards checked before each level is allocated.
+the closure, without recording edges: a breadth-first search, one vectorized
+level at a time, pruned to the positive root cone, with size and int64-range
+guards checked before each level is allocated.  Each level is carried as
+exact 1-D keys, the coordinate rows packed into int64 lanes.  The packing is
+linear in the row, so while a level's children provably fit the lanes their
+keys are computed from the parents' keys, ``key(x) - ma*key(U_i) -
+mb*key(V_i)``, with no child row built; otherwise the level is built as rows,
+and once coordinates outgrow the lanes the keys become the raw row bytes.
+Sorting the keys deduplicates a level, a global sorted visited array drops
+the repeats, and the dominant points are tallied in a sorted key array with
+a count array.
+
+Both listings are ordered by exact comparison in Q(tau): ``cartan_det *
+<x,x>`` descending, then the coordinates ascending
+(:func:`horbits.orbits._norm_order`).
 """
 from __future__ import annotations
 
@@ -31,7 +42,7 @@ import numpy as np
 from .errors import DomainError, NonDominantError, SizeLimitError
 from .golden import GoldenNumber, TAU, _sign_pair
 from .groups import Group, Weight, H3, _unflatten
-from .orbits import _norm_key
+from .orbits import _norm_order
 
 __all__ = [
     "SubtractionNode",
@@ -46,6 +57,8 @@ __all__ = [
 ]
 
 MAX_TREE_NODES = 1_000_000
+# ends the message of every node guard; the command line names its flag instead
+_RAISE_MAX_NODES = "raise max_nodes"
 
 _TREE_GROUPS = ("H2", "H3", "H4")
 
@@ -165,7 +178,7 @@ def build_tree(group: Group, seed: Weight, max_nodes: int = MAX_TREE_NODES) -> S
                 queue.append(target)
                 if len(queue) > max_nodes:
                     raise SizeLimitError(
-                        f"weight system exceeds {max_nodes} nodes; raise max_nodes"
+                        f"weight system exceeds {max_nodes} nodes; {_RAISE_MAX_NODES}"
                     )
 
     # queue holds every distinct flat row once: one Weight per row, and one
@@ -180,12 +193,10 @@ def build_tree(group: Group, seed: Weight, max_nodes: int = MAX_TREE_NODES) -> S
         edges.append(edge)
         nodes.append(SubtractionNode(edge.target, first))
     arrivals = {weights[f]: n for f, n in arrivals_flat.items()}
-    lower = sorted(
-        (f for f in queue
-         if all(_sign_pair(f[2 * i], f[2 * i + 1]) >= 0 for i in range(rank))),
-        key=lambda f: _norm_key(group, f),
-    )
-    dominants = [(weights[f], max(1, arrivals_flat[f])) for f in lower]
+    lower = [f for f in queue
+             if all(_sign_pair(f[2 * i], f[2 * i + 1]) >= 0 for i in range(rank))]
+    order = _norm_order(lower, [group._det_norm_pair(f) for f in lower])
+    dominants = [(weights[lower[k]], max(1, arrivals_flat[lower[k]])) for k in order]
     return SubtractionTree(group, seed, nodes, edges, arrivals, dominants)
 
 
@@ -194,14 +205,23 @@ def weight_system_dominants(group: Group, seed: Weight,
     """Lower-orbit dominants of a seed, without recording the tree.
 
     Same closure as :func:`build_tree`, run as a vectorized breadth-first
-    search: each level's children are built in one pass, deduplicated
-    against a global visited set, and only the new points are expanded, so
-    every node is expanded exactly once and the arrival count of a dominant
-    point is the number of times it is emitted as a child (the seed keeps
-    ``max(1, arrivals)``).  The closure is pruned, exactly, to the positive
-    root cone.  ``max_nodes`` bounds the points kept, and ``8 * max_nodes``
-    the children built for one level; both guards, and the int64 range of
-    the coordinates, are checked before the arrays are allocated.
+    search that carries each level as exact 1-D keys: every node is expanded
+    exactly once, so the arrival count of a dominant point is the number of
+    times it is emitted as a child (the seed keeps ``max(1, arrivals)``).
+    The closure is pruned, exactly, to the positive root cone.
+
+    While coordinates fit the packed int64 lanes, a child's key is computed
+    from its parent's key alone (the packing is linear in the row), the
+    level is deduplicated by sorting its keys, and only the new keys are
+    unpacked into rows to become the next frontier.  A level whose
+    children could leave the lanes is built as rows instead, and switches
+    every key to raw row bytes once its coordinates do.  Dominants are
+    tallied in a sorted key array with a count array.  The listing is
+    ordered by exact comparison (:func:`horbits.orbits._norm_order`).
+
+    ``max_nodes`` bounds the points kept, and ``8 * max_nodes`` the children
+    built for one level; both guards, and the int64 range of the
+    coordinates, are checked before the arrays are allocated.
     """
     _check_seed(group, seed)
     rank = group.rank
@@ -216,10 +236,11 @@ def weight_system_dominants(group: Group, seed: Weight,
             U[i, 2 * j + 1] = cb
             V[i, 2 * j] = cb
             V[i, 2 * j + 1] = ca + cb
-    adj_a = np.array([[e[0] for e in row] for row in group._adjugate_int],
-                     dtype=np.int64)
-    adj_b = np.array([[e[1] for e in row] for row in group._adjugate_int],
-                     dtype=np.int64)
+    # |ma| <= |a_i| and |mb| <= |b_i|, so children are at most `growth`
+    # times the largest coordinate of their parents
+    growth = 1 + int(np.abs(U).max()) + int(np.abs(V).max())
+    adj = (np.array([[e[0] for e in row] for row in group._adjugate_int], dtype=np.int64),
+           np.array([[e[1] for e in row] for row in group._adjugate_int], dtype=np.int64))
     det = (int(group.cartan_det.rat), int(group.cartan_det.tau))
 
     seed_parts = [part for c in seed.coords for part in (int(c.rat), int(c.tau))]
@@ -228,48 +249,73 @@ def weight_system_dominants(group: Group, seed: Weight,
     frontier = np.array([seed_parts], dtype=np.int64)
     signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
     bits = _key_bits(width, int(np.abs(frontier).max()))
-    visited = _row_keys(frontier, bits)
-    arrivals = {frontier[0].tobytes(): 0}
+    keys = visited = _row_keys(frontier, bits)
+    # the dominants met so far (the seed is one), as sorted keys and counts
+    dom_keys = visited
+    dom_counts = np.zeros(1, dtype=np.int64)
     while len(frontier):
-        a = frontier[:, 0::2]
-        b = frontier[:, 1::2]
-        roots = (a @ adj_a.T + b @ adj_b.T, b @ adj_a.T + (a + b) @ adj_b.T)
-        children = _children(frontier, signs, roots, det, U, V,
+        steps = _child_steps(frontier, signs, _adj_times(frontier, adj), det,
                              budget=8 * max_nodes - len(visited))
-        if not len(children):
+        if not steps:
             break
-        bound = int(np.abs(children).max())
-        if bound > _MAX_COORD:
-            raise SizeLimitError(
-                "weight system coordinates exceed the exact int64 range")
-        if bits is not None and _key_bits(width, bound) is None:
-            # coordinates outgrew the packed keys: rekey the visited set
-            visited = np.sort(_row_keys(_unpack_keys(visited, bits, width), None))
-            bits = None
-        keys, first, counts = np.unique(_row_keys(children, bits),
-                                        return_index=True, return_counts=True)
-        level = children[first]
-        signs = _signs(level[:, 0::2], level[:, 1::2])
-        dominant = (signs >= 0).all(axis=1)
-        for row, count in zip(level[dominant], counts[dominant].tolist()):
-            key = row.tobytes()
-            arrivals[key] = arrivals.get(key, 0) + count
+        if bits is not None and _key_bits(width, growth * int(np.abs(frontier).max())) is not None:
+            # key(x) = sum((x_l + offset) << shift_l) is linear in x; int64
+            # wrap-around cancels because every child key is in range
+            shifts = _lane_shifts(bits, width)
+            key_u = (U << shifts).sum(axis=1)
+            key_v = (V << shifts).sum(axis=1)
+            keys = np.concatenate([keys[p] - ma * key_u[i] - mb * key_v[i]
+                                   for i, p, ma, mb in steps])
+        else:
+            children = np.concatenate([frontier[p] - ma[:, None] * U[i] - mb[:, None] * V[i]
+                                       for i, p, ma, mb in steps])
+            bound = int(np.abs(children).max())
+            if bound > _MAX_COORD:
+                raise SizeLimitError(
+                    "weight system coordinates exceed the exact int64 range")
+            if bits is not None and _key_bits(width, bound) is None:
+                # coordinates outgrew the packed keys: rekey everything
+                visited = np.sort(_row_keys(_unpack_keys(visited, bits, width), None))
+                dom_keys = _row_keys(_unpack_keys(dom_keys, bits, width), None)
+                order = np.argsort(dom_keys)
+                dom_keys, dom_counts = dom_keys[order], dom_counts[order]
+                bits = None
+            keys = _row_keys(children, bits)
+        # equal keys are equal rows
+        keys, counts = np.unique(keys, return_counts=True)
         pos = np.searchsorted(visited, keys)
-        seen = pos < len(visited)
-        seen[seen] = visited[pos[seen]] == keys[seen]
-        new = ~seen
+        new = _missing(visited, keys, pos)
+        # a revisited dominant was tallied when it was new
+        old = keys[~new]
+        at = np.searchsorted(dom_keys, old)
+        hit = ~_missing(dom_keys, old, at)
+        dom_counts[at[hit]] += counts[~new][hit]
         visited = np.insert(visited, pos[new], keys[new])
         if len(visited) > max_nodes:
             raise SizeLimitError(
-                f"weight system exceeds {max_nodes} nodes; raise max_nodes"
+                f"weight system exceeds {max_nodes} nodes; {_RAISE_MAX_NODES}"
             )
-        frontier = level[new]
-        signs = signs[new]
+        keys = keys[new]
+        frontier = _unpack_keys(keys, bits, width)
+        signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
+        dominant = (signs >= 0).all(axis=1)
+        at = np.searchsorted(dom_keys, keys[dominant])
+        dom_keys = np.insert(dom_keys, at, keys[dominant])
+        dom_counts = np.insert(dom_counts, at, counts[new][dominant])
 
-    counts = {tuple(np.frombuffer(key, dtype=np.int64).tolist()): max(1, count)
-              for key, count in arrivals.items()}
-    flats = sorted(counts, key=lambda flat: _norm_key(group, flat))
-    return list(zip(_unflatten(group, flats, 1), (counts[f] for f in flats)))
+    rows = _unpack_keys(dom_keys, bits, width)
+    flats = rows.tolist()
+    # |det * <x,x>| <= 8 * rank**2 * max|adj| * max|x|**2; past int64, use Python ints
+    if 8 * rank * rank * int(np.abs(adj).max()) * int(np.abs(rows).max()) ** 2 >= 1 << 63:
+        rows = rows.astype(object)
+    roots_a, roots_b = _adj_times(rows, adj)
+    a, b = rows[:, 0::2], rows[:, 1::2]
+    norms = zip((a * roots_a + b * roots_b).sum(axis=1).tolist(),
+                (a * roots_b + b * roots_a + b * roots_b).sum(axis=1).tolist())
+    order = _norm_order(flats, list(norms))
+    counts = np.maximum(dom_counts, 1).tolist()
+    return list(zip(_unflatten(group, [flats[k] for k in order], 1),
+                    (counts[k] for k in order)))
 
 
 # |2a + b| and |b| up to 2**30 keep the squares taken by _signs below 2**63.
@@ -291,61 +337,80 @@ def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     np.sign(sign_s + sign_b))
 
 
-def _children(frontier: np.ndarray, signs: np.ndarray, roots, det,
-              U: np.ndarray, V: np.ndarray, budget: int) -> np.ndarray:
-    """Subtraction children of the frontier rows that stay in the root cone.
+def _adj_times(rows: np.ndarray, adj) -> tuple[np.ndarray, np.ndarray]:
+    """``adjugate @ x`` for each flat row x, as integer pairs ``(a, b)``:
+    the root coordinates of x times ``cartan_det``."""
+    a = rows[:, 0::2]
+    b = rows[:, 1::2]
+    adj_a, adj_b = adj
+    return a @ adj_a.T + b @ adj_b.T, b @ adj_a.T + (a + b) @ adj_b.T
 
-    ``signs`` are the signs of the frontier coordinates and ``roots`` the
-    integer pairs of their root coordinates times ``det``.  Subtracting
-    ``m * alpha_i`` lowers only root coordinate ``i``, by ``m``, so a child
-    of a point inside the positive root cone leaves it exactly when that one
-    coordinate turns negative.  Points outside the cone can never reach a
-    dominant point again (subtraction only lowers root coordinates, and
-    dominant points have nonnegative ones), so the pruning leaves the
-    dominant tally intact.  The child count ``sum(g)`` is checked against
-    ``budget`` before any child array is allocated.
+
+def _missing(keys: np.ndarray, probe: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Mask of ``probe`` values absent from the sorted ``keys``, given
+    ``pos = np.searchsorted(keys, probe)``."""
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == probe[found]
+    return ~found
+
+
+def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det,
+              budget: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Subtraction steps of the frontier rows that stay in the root cone.
+
+    Returns ``(i, parents, ma, mb)`` per simple root ``i``: the child of
+    ``frontier[parents[k]]`` is that row minus ``(ma[k] + mb[k]*tau) *
+    alpha_i``.  ``signs`` are the signs of the frontier coordinates and
+    ``roots`` the integer pairs of their root coordinates times ``det``.
+    Subtracting ``m * alpha_i`` lowers only root coordinate ``i``, by ``m``,
+    so a child of a point inside the positive root cone leaves it exactly
+    when that one coordinate turns negative.  Points outside the cone can
+    never reach a dominant point again (subtraction only lowers root
+    coordinates, and dominant points have nonnegative ones), so the pruning
+    leaves the dominant tally intact.  The child count ``sum(g)`` is checked
+    against ``budget`` before any step array is allocated.
     """
     da, db = det
     plans = []
     total = 0
     for i in range(frontier.shape[1] // 2):
-        positive = signs[:, i] > 0
-        if not positive.any():
+        rows = np.flatnonzero(signs[:, i] > 0)
+        if not len(rows):
             continue
-        base = frontier[positive]
-        fa = base[:, 2 * i]
-        fb = base[:, 2 * i + 1]
+        fa = frontier[rows, 2 * i]
+        fb = frontier[rows, 2 * i + 1]
         g = np.gcd(np.abs(fa), np.abs(fb))
         total += int(g.sum())
-        plans.append((i, base, roots[0][positive, i], roots[1][positive, i],
-                      fa // g, fb // g, g))
+        plans.append((i, rows, fa // g, fb // g, g))
     if total > budget:
         raise SizeLimitError(
             f"weight system level needs {total} children, over the node "
-            f"budget; raise max_nodes"
+            f"budget; {_RAISE_MAX_NODES}"
         )
-    blocks = []
-    for i, base, ra, rb, sa, sb, g in plans:
-        reps = np.repeat(np.arange(len(base)), g)
+    steps = []
+    for i, rows, sa, sb, g in plans:
         ends = np.cumsum(g)
+        reps = np.repeat(np.arange(len(rows)), g)
         k = np.arange(int(ends[-1])) - np.repeat(ends - g, g) + 1
         ma = k * sa[reps]
         mb = k * sb[reps]
-        inside = _signs(ra[reps] - (da * ma + db * mb),
-                        rb[reps] - (da * mb + db * ma + db * mb)) >= 0
-        reps = reps[inside]
-        ma = ma[inside, None]
-        mb = mb[inside, None]
-        blocks.append(base[reps] - ma * U[i] - mb * V[i])
-    if not blocks:
-        return np.empty((0, frontier.shape[1]), dtype=np.int64)
-    return np.concatenate(blocks, axis=0)
+        parents = rows[reps]
+        inside = _signs(roots[0][parents, i] - (da * ma + db * mb),
+                        roots[1][parents, i] - (da * mb + db * ma + db * mb)) >= 0
+        if inside.any():
+            steps.append((i, parents[inside], ma[inside], mb[inside]))
+    return steps
 
 
 def _key_bits(width: int, bound: int) -> int | None:
     """Lane width that packs rows bounded by ``bound`` into int64 keys, or None."""
     bits = 63 // width
     return bits if bound < 1 << (bits - 1) else None
+
+
+def _lane_shifts(bits: int, width: int) -> np.ndarray:
+    """Bit offset of each lane of the packed keys, first lane highest."""
+    return np.arange(width - 1, -1, -1, dtype=np.int64) * bits
 
 
 def _row_keys(rows: np.ndarray, bits: int | None) -> np.ndarray:
@@ -361,10 +426,11 @@ def _row_keys(rows: np.ndarray, bits: int | None) -> np.ndarray:
     return keys
 
 
-def _unpack_keys(keys: np.ndarray, bits: int, width: int) -> np.ndarray:
-    """Inverse of the packed form of :func:`_row_keys`."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64) * bits
-    return ((keys[:, None] >> shifts) & ((1 << bits) - 1)) - (1 << (bits - 1))
+def _unpack_keys(keys: np.ndarray, bits: int | None, width: int) -> np.ndarray:
+    """Inverse of :func:`_row_keys`."""
+    if bits is None:
+        return np.ascontiguousarray(keys).view(np.int64).reshape(-1, width)
+    return ((keys[:, None] >> _lane_shifts(bits, width)) & ((1 << bits) - 1)) - (1 << (bits - 1))
 
 
 # ---------------------------------------------------------------------------

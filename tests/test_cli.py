@@ -172,6 +172,21 @@ def test_lower_orbits_max_nodes(capsys, tmp_path):
     assert run(capsys, "lower-orbits", "H3", "2,0,0", "--max-nodes", "0")[0] == 2
 
 
+def test_node_guards_name_the_flag(capsys, tmp_path):
+    # node guard of the tree and of the closure, and the level-budget guard
+    # (the seed alone has 100 children, over 8 * 5 - 1)
+    for argv in (("lower-orbits", "H3", "2,0,0", "--max-nodes", "3"),
+                 ("lower-orbits", "H3", "2,0,0", "--max-nodes", "3",
+                  "--json", str(tmp_path / "tree.json")),
+                 ("lower-orbits", "H3", "100,0,0", "--max-nodes", "5"),
+                 ("export", "H3", "100,0,0", "--nested", "--format", "obj",
+                  "--out", str(tmp_path / "shells.obj"), "--max-nodes", "5")):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert err.endswith("; raise --max-nodes\n"), err
+        assert "max_nodes" not in err
+
+
 def test_export_max_nodes(capsys, tmp_path):
     path = tmp_path / "shells.obj"
     args = ("export", "H3", "2,0,0", "--nested", "--format", "obj", "--out", str(path))

@@ -9,8 +9,9 @@ from horbits.errors import (
     SizeLimitError,
 )
 from horbits.golden import golden
-from horbits.groups import H2, H3, H4
+from horbits.groups import H2, H3, H4, Weight
 from horbits.orbits import (
+    Decomposition,
     Orbit,
     WeightMultiset,
     decompose,
@@ -217,6 +218,30 @@ def test_decomposition_sorted_parts_order():
     b = generate_orbit(H2, H2.weight(0, "1t"))
     ordered = [w.text() for w, _ in decompose_product([a, b]).sorted_parts()]
     assert ordered == ["1,1t", "1t,0", "0,-1+1t"]
+
+
+def _fib(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("n", [89, 90, 91, 93])
+def test_sorted_parts_exact_past_the_value_proxy(n):
+    # c = F_n*tau - F_(n+1) = (-1)**(n+1) * tau**-n: a 120-bit value of tau
+    # gets its sign wrong from n = 89 on, for c and for norms near 1 + c
+    c = golden(-_fib(n + 1), _fib(n))
+    zero = golden(0)
+    # equal norms, so the coordinates decide: (0, c) < (c, 0) iff c > 0
+    parts = Decomposition(H2, {Weight(H2, (c, zero)): 1, Weight(H2, (zero, c)): 2})
+    small, large = ((zero, c), (c, zero)) if c > 0 else ((c, zero), (zero, c))
+    assert [w.coords for w, _ in parts.sorted_parts()] == [small, large]
+    # the larger norm first: |1 + c| > 1 iff c > 0
+    one = golden(1)
+    parts = Decomposition(H2, {Weight(H2, (one + c, zero)): 1, Weight(H2, (one, zero)): 2})
+    big, less = (one + c, one) if c > 0 else (one, one + c)
+    assert [w.coords[0] for w, _ in parts.sorted_parts()] == [big, less]
 
 
 def test_h4_product_small():

@@ -248,6 +248,39 @@ def test_fast_dominants_match_tree(rng):
         assert [(w, c) for w, c in tree.lower_dominants] == fast
 
 
+@pytest.mark.parametrize("group,text", [
+    (H2, "3+2t,5"), (H2, "3-1t,1+1t"),
+    (H3, "2t,1+1t,1"), (H3, "3,-1+2t,1t"), (H3, "2-1t,1t,1"),
+    (H4, "1t,0,0,1"), (H4, "0,0,0,5+8t"),
+])
+def test_fast_dominants_match_tree_tau_and_mixed(group, text):
+    seed = group.parse_weight(text)
+    assert weight_system_dominants(group, seed) == build_tree(group, seed).lower_dominants
+
+
+def test_fast_dominants_lane_bound_fails_mid_closure():
+    # H4 keys pack 7-bit lanes and a child is at most 5 times as large as its
+    # parent: the seed's level fits the lanes, so its child keys come from key
+    # arithmetic; (1+13t,0,0,0) is reached and expanded later, and its level
+    # cannot promise that, so it is built as rows
+    assert weightsys._key_bits(8, 5 * 12) is not None
+    assert weightsys._key_bits(8, 5 * 13) is None
+    seed = H4.parse_weight("0,0,0,12+1t")
+    fast = weight_system_dominants(H4, seed)
+    assert H4.parse_weight("1+13t,0,0,0") in dict(fast)
+    assert fast == build_tree(H4, seed).lower_dominants
+
+
+def test_fast_dominants_norms_past_int64():
+    # with coordinates past about 1.1e8, det * <x,x> outgrows int64 in H4
+    # (1.8e8 in H3), so the listing is ordered on Python integers
+    seed = H4.weight("110000001+110000000t", 0, 0, 0)
+    assert [(w.text(), c) for w, c in weight_system_dominants(H4, seed)] == [
+        ("110000001+110000000t,0,0,0", 1), ("0,0,0,0", 4)]
+    seed = H3.weight("250000001+250000000t", 0, 0)
+    assert weight_system_dominants(H3, seed) == build_tree(H3, seed).lower_dominants
+
+
 def test_fast_dominants_reject_int64_overflow():
     # squaring 2a+b for a = 3e9 would wrap int64 and stop the closure at the
     # seed; the engine has to refuse instead
