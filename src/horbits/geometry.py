@@ -80,25 +80,23 @@ def _minimal_distance_edges(points: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(i), int(j)) for i, j in zip(iu[0][keep], iu[1][keep]))
 
 
-def nested_polyhedra(group: Group, seed: Weight, with_edges: bool | None = None,
+def nested_polyhedra(group: Group, seed: Weight,
                      max_nodes: int = MAX_TREE_NODES) -> NestedPolyhedra:
     """One shell per lower-orbit dominant of the seed's weight system.
 
     Shells are ordered by descending radius.  Minimal-distance edges are
-    computed for ranks up to 3 (pairwise distances over rank-4 orbits are
-    too large to be useful); ``with_edges`` overrides the default.
+    computed for ranks up to 3 only; rank-4 shells have none (pairwise
+    distances over rank-4 orbits are too large to be useful).
     ``max_nodes`` is the size guard of the weight-system closure.
     """
     dominants = weight_system_dominants(group, seed, max_nodes=max_nodes)
     embedding = embed(group)
-    if with_edges is None:
-        with_edges = group.rank <= 3
     shells = []
     for dominant, _count in dominants:
         orbit = generate_orbit(group, dominant)
         pts = np.array([embedding.cartesian(w) for w in orbit.elements])
         radius = float(np.sqrt(float(group.inner(dominant, dominant))))
-        edges = _minimal_distance_edges(pts) if with_edges and len(pts) > 1 else ()
+        edges = _minimal_distance_edges(pts) if group.rank <= 3 and len(pts) > 1 else ()
         shells.append(Shell(
             dominant=dominant,
             radius=radius,

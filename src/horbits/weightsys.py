@@ -7,41 +7,30 @@ for ``k = 1..g`` with ``g = gcd(|a|, |b|)`` (and ``gcd(0, n) = n``).  For
 ..., a*alpha_i``; for ``a = 0`` the steps are ``tau*alpha_i``; the gcd rule
 interpolates between the two and extends to mixed-sign coefficients.
 
-The closure of the seed under this rule is recorded as a tree (really a DAG):
-each distinct weight is expanded once, arrivals at an already-known weight
-are kept as revisit markers, and the visited weights with all coordinates
-non-negative are the dominant points of the lower orbits nested inside the
-seed orbit.
-
-:func:`weight_system_dominants` computes the same dominants in one pass over
-the closure, without recording edges: a breadth-first search, one vectorized
-level at a time, pruned to the positive root cone, with size and int64-range
-guards checked before each level is allocated.  Each level is carried as
-exact 1-D keys, the coordinate rows packed into int64 lanes.  The packing is
-linear in the row, so while a level's children provably fit the lanes their
-keys are computed from the parents' keys, ``key(x) - ma*key(U_i) -
-mb*key(V_i)``, with no child row built; otherwise the level is built as rows,
-and once coordinates outgrow the lanes the keys become the raw row bytes.
-Sorting the keys deduplicates a level, a global sorted visited array drops
-the repeats, and the dominant points are tallied in a sorted key array with
-a count array.
-
-Both listings are ordered by exact comparison in Q(tau): ``cartan_det *
-<x,x>`` descending, then the coordinates ascending
-(:func:`horbits.orbits._norm_order`).
+One engine applies the rule: a breadth-first search, one vectorized level
+at a time, with size and int64-range guards checked before each level is
+allocated.  :func:`build_tree` runs it in tree mode, which keeps every point
+and records the closure as a tree (really a DAG) in first-in-first-out order:
+each distinct weight is expanded once, and arrivals at an already-known
+weight are kept as revisit markers.  :func:`weight_system_dominants` runs it
+in dominants mode, pruned to the positive root cone, and keeps only the
+visited weights with all coordinates non-negative: the dominant points of
+the lower orbits nested inside the seed orbit.  Both listings are ordered
+by exact comparison in Q(tau): ``cartan_det * <x,x>`` descending, then the
+coordinates ascending (:func:`horbits.orbits._norm_order`).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor
 
 import numpy as np
 
 from .errors import DomainError, NonDominantError, SizeLimitError
-from .golden import GoldenNumber, TAU, _sign_pair
-from .groups import Group, Weight, H3, _unflatten
+from .golden import GoldenNumber, TAU
+from .groups import Group, Weight, H3, _flatten, _unflatten
 from .orbits import _norm_order
 
 __all__ = [
@@ -102,25 +91,20 @@ class SubtractionTree:
 
 
 def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
-    """Subtraction edges leaving one point (empty if no coordinate is positive)."""
+    """Subtraction edges leaving one point (empty if no coordinate is positive),
+    with the int64-range and child guards of the closure."""
     group._own(point)
     if not point.is_ztau:
-        raise DomainError(
-            f"subtraction requires Z[tau] coordinates, got {point}"
-        )
+        raise DomainError(f"subtraction requires Z[tau] coordinates, got {point}")
+    U, V = _step_matrices(group)
+    frontier = _int_row(point)
     edges = []
-    for i, coord in enumerate(point.coords):
-        if coord.sign() <= 0:
-            continue
-        a = int(coord.rat)
-        b = int(coord.tau)
-        g = gcd(abs(a), abs(b))
-        step = coord / g
-        alpha = group.simple_roots[i]
-        for k in range(1, g + 1):
-            multiple = step * k
-            target = point - alpha.scaled(multiple)
-            edges.append(SubtractionEdge(point, target, multiple, i + 1))
+    for i, _, ma, mb in _child_steps(frontier, _signs(frontier[:, 0::2], frontier[:, 1::2]),
+                                     None, None, budget=8 * MAX_TREE_NODES):
+        children = frontier[0] - ma[:, None] * U[i] - mb[:, None] * V[i]
+        targets = _unflatten(group, children.tolist(), 1)
+        edges += [SubtractionEdge(point, t, GoldenNumber(a, b), i + 1)
+                  for t, a, b in zip(targets, ma.tolist(), mb.tolist())]
     return edges
 
 
@@ -136,126 +120,110 @@ def _check_seed(group: Group, seed: Weight) -> None:
         raise DomainError(f"seed {seed} must have Z[tau] coordinates")
 
 
+def _int_row(w: Weight) -> np.ndarray:
+    """The flat row of a Z[tau] weight as a 1-row int64 array, range-checked."""
+    parts = _flatten([w])[0][0]
+    if max(abs(part) for part in parts) > _MAX_COORD:
+        raise SizeLimitError(f"{w} exceeds the exact int64 range")
+    return np.array([parts], dtype=np.int64)
+
+
 def build_tree(group: Group, seed: Weight, max_nodes: int = MAX_TREE_NODES) -> SubtractionTree:
-    """Breadth-first closure of a dominant Z[tau] seed under root subtraction."""
+    """Breadth-first closure of a dominant Z[tau] seed under root subtraction.
+
+    Nodes and edges come first in, first out.  The engine and its guards are
+    those of :func:`weight_system_dominants`, without the cone pruning;
+    ``max_nodes`` bounds the distinct points.
+    """
     _check_seed(group, seed)
-
-    rank = group.rank
-    rows = group._int_rows
-    seed_flat = tuple(
-        part for c in seed.coords for part in (int(c.rat), int(c.tau))
-    )
-    # events: (source, target, multiple-pair, index, is_first_visit)
-    events: list[tuple] = []
-    arrivals_flat: dict[tuple, int] = {seed_flat: 0}
-    queue = [seed_flat]
-    head = 0
-    while head < len(queue):
-        current = queue[head]
-        head += 1
-        for i in range(rank):
-            a = current[2 * i]
-            b = current[2 * i + 1]
-            if _sign_pair(a, b) <= 0:
-                continue
-            g = gcd(abs(a), abs(b))
-            sa = a // g
-            sb = b // g
-            for k in range(1, g + 1):
-                ma = k * sa
-                mb = k * sb
-                target = list(current)
-                for j, ca, cb in rows[i]:
-                    target[2 * j] -= ma * ca + mb * cb
-                    target[2 * j + 1] -= ma * cb + mb * ca + mb * cb
-                target = tuple(target)
-                if target in arrivals_flat:
-                    arrivals_flat[target] += 1
-                    events.append((current, target, (ma, mb), i, False))
-                    continue
-                arrivals_flat[target] = 1
-                events.append((current, target, (ma, mb), i, True))
-                queue.append(target)
-                if len(queue) > max_nodes:
-                    raise SizeLimitError(
-                        f"weight system exceeds {max_nodes} nodes; {_RAISE_MAX_NODES}"
-                    )
-
-    # queue holds every distinct flat row once: one Weight per row, and one
-    # GoldenNumber per distinct coordinate pair
-    weights = dict(zip(queue, _unflatten(group, queue, 1)))
-    nodes = [SubtractionNode(weights[seed_flat], True)]
-    edges = []
-    for source, target, (ma, mb), i, first in events:
-        edge = SubtractionEdge(
-            weights[source], weights[target], GoldenNumber(ma, mb), i + 1
-        )
-        edges.append(edge)
-        nodes.append(SubtractionNode(edge.target, first))
-    arrivals = {weights[f]: n for f, n in arrivals_flat.items()}
-    lower = [f for f in queue
-             if all(_sign_pair(f[2 * i], f[2 * i + 1]) >= 0 for i in range(rank))]
-    order = _norm_order(lower, [group._det_norm_pair(f) for f in lower])
-    dominants = [(weights[lower[k]], max(1, arrivals_flat[lower[k]])) for k in order]
-    return SubtractionTree(group, seed, nodes, edges, arrivals, dominants)
+    rows, arrivals, lower, (source, target, ma, mb, root, first) = \
+        _closure(group, seed, max_nodes, tree=True)
+    # one Weight per distinct point, one GoldenNumber per distinct multiple
+    weights = _unflatten(group, rows.tolist(), 1)
+    target, ma, mb = target.tolist(), ma.tolist(), mb.tolist()
+    multiples = {pair: GoldenNumber(*pair) for pair in set(zip(ma, mb))}
+    edges = [SubtractionEdge(weights[s], weights[t], multiples[a, b], i + 1)
+             for s, t, a, b, i in zip(source.tolist(), target, ma, mb, root.tolist())]
+    nodes = [SubtractionNode(weights[0], True)]
+    nodes += [SubtractionNode(weights[t], f) for t, f in zip(target, first.tolist())]
+    counts = arrivals.tolist()
+    return SubtractionTree(group, seed, nodes, edges, dict(zip(weights, counts)),
+                           [(weights[k], max(1, counts[k])) for k in lower.tolist()])
 
 
 def weight_system_dominants(group: Group, seed: Weight,
                             max_nodes: int = MAX_TREE_NODES) -> list[tuple[Weight, int]]:
-    """Lower-orbit dominants of a seed, without recording the tree.
+    """Lower-orbit dominants of a seed and their arrival counts.
 
-    Same closure as :func:`build_tree`, run as a vectorized breadth-first
-    search that carries each level as exact 1-D keys: every node is expanded
-    exactly once, so the arrival count of a dominant point is the number of
-    times it is emitted as a child (the seed keeps ``max(1, arrivals)``).
-    The closure is pruned, exactly, to the positive root cone.
-
-    While coordinates fit the packed int64 lanes, a child's key is computed
-    from its parent's key alone (the packing is linear in the row), the
-    level is deduplicated by sorting its keys, and only the new keys are
-    unpacked into rows to become the next frontier.  A level whose
-    children could leave the lanes is built as rows instead, and switches
-    every key to raw row bytes once its coordinates do.  Dominants are
-    tallied in a sorted key array with a count array.  The listing is
-    ordered by exact comparison (:func:`horbits.orbits._norm_order`).
-
+    The closure of :func:`build_tree`, pruned exactly to the positive root
+    cone and recording no edges (the seed counts ``max(1, arrivals)``).
     ``max_nodes`` bounds the points kept, and ``8 * max_nodes`` the children
-    built for one level; both guards, and the int64 range of the
-    coordinates, are checked before the arrays are allocated.
+    of one level; both guards, and the int64 range of the coordinates, are
+    checked before the arrays are allocated.
     """
     _check_seed(group, seed)
-    rank = group.rank
-    width = 2 * rank
-    # response of the flat vector to subtracting (ma + mb*tau) * alpha_i:
-    # x -> x - ma*U[i] - mb*V[i]
-    U = np.zeros((rank, width), dtype=np.int64)
-    V = np.zeros((rank, width), dtype=np.int64)
+    rows, counts, lower, _ = _closure(group, seed, max_nodes, tree=False)
+    return list(zip(_unflatten(group, rows[lower].tolist(), 1),
+                    np.maximum(counts[lower], 1).tolist()))
+
+
+def _step_matrices(group: Group) -> tuple[np.ndarray, np.ndarray]:
+    """``U, V`` with subtracting ``(ma + mb*tau) * alpha_i`` from a flat row
+    ``x`` giving ``x - ma*U[i] - mb*V[i]``."""
+    width = 2 * group.rank
+    U = np.zeros((group.rank, width), dtype=np.int64)
+    V = np.zeros((group.rank, width), dtype=np.int64)
     for i, row in enumerate(group._int_rows):
         for j, ca, cb in row:
-            U[i, 2 * j] = ca
-            U[i, 2 * j + 1] = cb
-            V[i, 2 * j] = cb
-            V[i, 2 * j + 1] = ca + cb
-    # |ma| <= |a_i| and |mb| <= |b_i|, so children are at most `growth`
-    # times the largest coordinate of their parents
+            U[i, 2 * j:2 * j + 2] = ca, cb
+            V[i, 2 * j:2 * j + 2] = cb, ca + cb
+    return U, V
+
+
+def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
+    """The closure of a seed under root subtraction, one level at a time.
+
+    A level travels as exact 1-D keys, the rows packed into int64 lanes.
+    The packing is linear, so while a level's children provably fit the
+    lanes their keys are ``key(x) - ma*key(U_i) - mb*key(V_i)``, with no
+    child row built; otherwise the level is built as rows, and once they
+    outgrow the lanes the keys become the raw row bytes.  Sorting the keys
+    deduplicates a level against a global sorted visited array.  Each point
+    is expanded once, so its arrival count is the number of times it is
+    emitted as a child.
+
+    Dominants mode prunes to the positive root cone and tallies the dominant
+    points in a sorted key array with a count array.  Tree mode keeps every
+    point and numbers it first in, first out: a level's children are put in
+    order of parent, root index and multiple, so a point's first visit is
+    the first occurrence of its key.  Returns ``(rows, counts, lower,
+    edges)``: the dominant rows (tree mode: every point's row, by number),
+    their arrival counts, the positions of the lower dominants in listing
+    order, and in tree mode the edges ``(source, target, ma, mb, root,
+    first_visit)`` as arrays.
+    """
+    width = 2 * group.rank
+    U, V = _step_matrices(group)
+    # |ma| <= |a_i| and |mb| <= |b_i|: children are at most `growth` times their parents
     growth = 1 + int(np.abs(U).max()) + int(np.abs(V).max())
-    adj = (np.array([[e[0] for e in row] for row in group._adjugate_int], dtype=np.int64),
-           np.array([[e[1] for e in row] for row in group._adjugate_int], dtype=np.int64))
+    adj = tuple(np.moveaxis(np.array(group._adjugate_int, dtype=np.int64), 2, 0))
     det = (int(group.cartan_det.rat), int(group.cartan_det.tau))
 
-    seed_parts = [part for c in seed.coords for part in (int(c.rat), int(c.tau))]
-    if max(abs(part) for part in seed_parts) > _MAX_COORD:
-        raise SizeLimitError(f"seed {seed} exceeds the exact int64 range")
-    frontier = np.array([seed_parts], dtype=np.int64)
+    frontier = _int_row(seed)
     signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
     bits = _key_bits(width, int(np.abs(frontier).max()))
     keys = visited = _row_keys(frontier, bits)
-    # the dominants met so far (the seed is one), as sorted keys and counts
-    dom_keys = visited
-    dom_counts = np.zeros(1, dtype=np.int64)
+    if tree:
+        # the number of each visited key; the rows and the edges of each level
+        ids = np.zeros(1, dtype=np.int64)
+        levels, events = [frontier], []
+    else:
+        # the dominants met so far (the seed is one), as sorted keys and counts
+        dom_keys = visited
+        dom_counts = np.zeros(1, dtype=np.int64)
     while len(frontier):
-        steps = _child_steps(frontier, signs, _adj_times(frontier, adj), det,
-                             budget=8 * max_nodes - len(visited))
+        steps = _child_steps(frontier, signs, None if tree else _adj_times(frontier, adj),
+                             det, budget=8 * max_nodes - len(visited))
         if not steps:
             break
         if bits is not None and _key_bits(width, growth * int(np.abs(frontier).max())) is not None:
@@ -271,51 +239,84 @@ def weight_system_dominants(group: Group, seed: Weight,
                                        for i, p, ma, mb in steps])
             bound = int(np.abs(children).max())
             if bound > _MAX_COORD:
-                raise SizeLimitError(
-                    "weight system coordinates exceed the exact int64 range")
+                raise SizeLimitError("weight system coordinates exceed the exact int64 range")
             if bits is not None and _key_bits(width, bound) is None:
                 # coordinates outgrew the packed keys: rekey everything
-                visited = np.sort(_row_keys(_unpack_keys(visited, bits, width), None))
-                dom_keys = _row_keys(_unpack_keys(dom_keys, bits, width), None)
-                order = np.argsort(dom_keys)
-                dom_keys, dom_counts = dom_keys[order], dom_counts[order]
+                rekeyed = _row_keys(_unpack_keys(visited, bits, width), None)
+                by_key = np.argsort(rekeyed)
+                visited = rekeyed[by_key]
+                if tree:
+                    ids = ids[by_key]
+                else:
+                    dom_keys = _row_keys(_unpack_keys(dom_keys, bits, width), None)
+                    by_key = np.argsort(dom_keys)
+                    dom_keys, dom_counts = dom_keys[by_key], dom_counts[by_key]
                 bits = None
             keys = _row_keys(children, bits)
-        # equal keys are equal rows
-        keys, counts = np.unique(keys, return_counts=True)
-        pos = np.searchsorted(visited, keys)
-        new = _missing(visited, keys, pos)
-        # a revisited dominant was tallied when it was new
-        old = keys[~new]
-        at = np.searchsorted(dom_keys, old)
-        hit = ~_missing(dom_keys, old, at)
-        dom_counts[at[hit]] += counts[~new][hit]
+        if tree:
+            root = np.repeat([i for i, *_ in steps], [len(p) for _, p, _, _ in steps])
+            parent, ma, mb = (np.concatenate(column) for column in list(zip(*steps))[1:])
+            # first in, first out: by parent, then root index, then multiple
+            order = np.argsort(parent, kind="stable")
+            keys, root, parent, ma, mb = (a[order] for a in (keys, root, parent, ma, mb))
+            # equal keys are equal rows; new keys are numbered in the order
+            # of their first occurrence
+            keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            pos = np.searchsorted(visited, keys)
+            new = _missing(visited, keys, pos)
+            fresh = np.flatnonzero(new)[np.argsort(first[new])]
+            number = np.empty(len(keys), dtype=np.int64)
+            number[~new] = ids[pos[~new]]
+            number[fresh] = len(visited) + np.arange(len(fresh))
+            visits = new[inverse] & (first[inverse] == np.arange(len(inverse)))
+            # the frontier holds the points numbered last
+            events.append((len(visited) - len(frontier) + parent, number[inverse],
+                           ma, mb, root, visits))
+            ids = np.insert(ids, pos[new], number[new])
+        else:
+            keys, counts = np.unique(keys, return_counts=True)
+            pos = np.searchsorted(visited, keys)
+            new = _missing(visited, keys, pos)
+            # a revisited dominant was tallied when it was new
+            old = keys[~new]
+            at = np.searchsorted(dom_keys, old)
+            hit = ~_missing(dom_keys, old, at)
+            dom_counts[at[hit]] += counts[~new][hit]
         visited = np.insert(visited, pos[new], keys[new])
         if len(visited) > max_nodes:
-            raise SizeLimitError(
-                f"weight system exceeds {max_nodes} nodes; {_RAISE_MAX_NODES}"
-            )
-        keys = keys[new]
+            raise SizeLimitError(f"weight system exceeds {max_nodes} nodes; {_RAISE_MAX_NODES}")
+        keys = keys[fresh] if tree else keys[new]
         frontier = _unpack_keys(keys, bits, width)
         signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
-        dominant = (signs >= 0).all(axis=1)
-        at = np.searchsorted(dom_keys, keys[dominant])
-        dom_keys = np.insert(dom_keys, at, keys[dominant])
-        dom_counts = np.insert(dom_counts, at, counts[new][dominant])
+        if tree:
+            levels.append(frontier)
+        else:
+            dominant = (signs >= 0).all(axis=1)
+            at = np.searchsorted(dom_keys, keys[dominant])
+            dom_keys = np.insert(dom_keys, at, keys[dominant])
+            dom_counts = np.insert(dom_counts, at, counts[new][dominant])
 
-    rows = _unpack_keys(dom_keys, bits, width)
-    flats = rows.tolist()
+    if not tree:
+        rows = _unpack_keys(dom_keys, bits, width)
+        return rows, dom_counts, _listing_order(rows, adj), None
+    # a nonzero dominant seed has a positive coordinate, so there are edges
+    rows = np.concatenate(levels)
+    edges = tuple(np.concatenate(column) for column in zip(*events))
+    lower = np.flatnonzero((_signs(rows[:, 0::2], rows[:, 1::2]) >= 0).all(axis=1))
+    return (rows, np.bincount(edges[1], minlength=len(rows)),
+            lower[_listing_order(rows[lower], adj)], edges)
+
+
+def _listing_order(rows: np.ndarray, adj) -> np.ndarray:
+    """Positions of int64 rows in the order of :func:`horbits.orbits._norm_order`."""
     # |det * <x,x>| <= 8 * rank**2 * max|adj| * max|x|**2; past int64, use Python ints
-    if 8 * rank * rank * int(np.abs(adj).max()) * int(np.abs(rows).max()) ** 2 >= 1 << 63:
-        rows = rows.astype(object)
-    roots_a, roots_b = _adj_times(rows, adj)
-    a, b = rows[:, 0::2], rows[:, 1::2]
+    bound = 2 * rows.shape[1] ** 2 * int(np.abs(adj).max()) * int(np.abs(rows).max()) ** 2
+    exact = rows.astype(object) if bound >= 1 << 63 else rows
+    roots_a, roots_b = _adj_times(exact, adj)
+    a, b = exact[:, 0::2], exact[:, 1::2]
     norms = zip((a * roots_a + b * roots_b).sum(axis=1).tolist(),
                 (a * roots_b + b * roots_a + b * roots_b).sum(axis=1).tolist())
-    order = _norm_order(flats, list(norms))
-    counts = np.maximum(dom_counts, 1).tolist()
-    return list(zip(_unflatten(group, [flats[k] for k in order], 1),
-                    (counts[k] for k in order)))
+    return np.array(_norm_order(rows.tolist(), list(norms)), dtype=np.int64)
 
 
 # |2a + b| and |b| up to 2**30 keep the squares taken by _signs below 2**63.
@@ -354,23 +355,18 @@ def _missing(keys: np.ndarray, probe: np.ndarray, pos: np.ndarray) -> np.ndarray
     return ~found
 
 
-def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det,
-              budget: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Subtraction steps of the frontier rows that stay in the root cone.
+def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det, budget: int):
+    """Subtraction steps of the frontier rows, as ``(i, parents, ma, mb)`` per root.
 
-    Returns ``(i, parents, ma, mb)`` per simple root ``i``: the child of
-    ``frontier[parents[k]]`` is that row minus ``(ma[k] + mb[k]*tau) *
-    alpha_i``.  ``signs`` are the signs of the frontier coordinates and
-    ``roots`` the integer pairs of their root coordinates times ``det``.
-    Subtracting ``m * alpha_i`` lowers only root coordinate ``i``, by ``m``,
-    so a child of a point inside the positive root cone leaves it exactly
-    when that one coordinate turns negative.  Points outside the cone can
-    never reach a dominant point again (subtraction only lowers root
-    coordinates, and dominant points have nonnegative ones), so the pruning
-    leaves the dominant tally intact.  The child count ``sum(g)`` is checked
-    against ``budget`` before any step array is allocated.
+    The child of ``frontier[parents[k]]`` is that row minus ``(ma[k] +
+    mb[k]*tau) * alpha_i``; steps come by root, parent, then multiple.
+    ``signs`` are the signs of the frontier coordinates.  With ``roots``, the
+    integer pairs of their root coordinates times ``det``, only the steps
+    into the positive root cone are kept: subtracting ``m * alpha_i`` lowers
+    only root coordinate ``i``, and a point outside the cone never reaches a
+    dominant point again.  The child count is checked against ``budget``
+    before any step array is allocated.
     """
-    da, db = det
     plans = []
     total = 0
     for i in range(frontier.shape[1] // 2):
@@ -383,10 +379,8 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det,
         total += int(g.sum())
         plans.append((i, rows, fa // g, fb // g, g))
     if total > budget:
-        raise SizeLimitError(
-            f"weight system level needs {total} children, over the node "
-            f"budget; {_RAISE_MAX_NODES}"
-        )
+        raise SizeLimitError(f"weight system level needs {total} children, over the "
+                             f"node budget; {_RAISE_MAX_NODES}")
     steps = []
     for i, rows, sa, sb, g in plans:
         ends = np.cumsum(g)
@@ -395,10 +389,14 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det,
         ma = k * sa[reps]
         mb = k * sb[reps]
         parents = rows[reps]
-        inside = _signs(roots[0][parents, i] - (da * ma + db * mb),
-                        roots[1][parents, i] - (da * mb + db * ma + db * mb)) >= 0
-        if inside.any():
-            steps.append((i, parents[inside], ma[inside], mb[inside]))
+        if roots is not None:
+            da, db = det
+            inside = _signs(roots[0][parents, i] - (da * ma + db * mb),
+                            roots[1][parents, i] - (da * mb + db * ma + db * mb)) >= 0
+            if not inside.any():
+                continue
+            parents, ma, mb = parents[inside], ma[inside], mb[inside]
+        steps.append((i, parents, ma, mb))
     return steps
 
 

@@ -3,14 +3,15 @@ import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from horbits import weightsys
 from horbits.errors import DomainError, NonDominantError, SizeLimitError
-from horbits.golden import TAU, golden
+from horbits.golden import TAU, _sign_pair, golden
 from horbits.groups import A2, H2, H3, H4, Weight
-from horbits.orbits import generate_orbit
+from horbits.orbits import _norm_order, generate_orbit
 from horbits.weightsys import (
     SubtractionEdge,
     SubtractionNode,
@@ -321,6 +322,117 @@ def test_fast_dominants_exact_keys_past_packing(monkeypatch):
         switched.clear()
         assert weight_system_dominants(seed.group, seed) == want
         assert switched, seed
+
+
+# -- independent reference: a first-in-first-out closure over tuples -----------
+
+def _flat(w):
+    return tuple(part for c in w.coords for part in (int(c.rat), int(c.tau)))
+
+
+def _fifo_tree(group, seed):
+    """The subtraction closure as a plain FIFO breadth-first search.
+
+    Returns the edge events ``(source, target, (ma, mb), root index,
+    first visit)`` on flat integer rows in visiting order, the arrival count
+    of every row in first-visit order, and the lower dominants ``(row,
+    max(1, arrivals))`` in listing order.
+    """
+    rank = group.rank
+    rows = group._int_rows
+    seed_flat = _flat(seed)
+    events = []
+    arrivals = {seed_flat: 0}
+    queue = [seed_flat]
+    head = 0
+    while head < len(queue):
+        current = queue[head]
+        head += 1
+        for i in range(rank):
+            a = current[2 * i]
+            b = current[2 * i + 1]
+            if _sign_pair(a, b) <= 0:
+                continue
+            g = gcd(abs(a), abs(b))
+            for k in range(1, g + 1):
+                ma = k * (a // g)
+                mb = k * (b // g)
+                target = list(current)
+                for j, ca, cb in rows[i]:
+                    target[2 * j] -= ma * ca + mb * cb
+                    target[2 * j + 1] -= ma * cb + mb * ca + mb * cb
+                target = tuple(target)
+                first = target not in arrivals
+                arrivals[target] = arrivals.get(target, 0) + 1
+                events.append((current, target, (ma, mb), i, first))
+                if first:
+                    queue.append(target)
+    lower = [f for f in queue
+             if all(_sign_pair(f[2 * i], f[2 * i + 1]) >= 0 for i in range(rank))]
+    order = _norm_order(lower, [group._det_norm_pair(f) for f in lower])
+    return events, arrivals, [(lower[k], max(1, arrivals[lower[k]])) for k in order]
+
+
+def _assert_tree_is_fifo(tree):
+    events, arrivals, dominants = _fifo_tree(tree.group, tree.seed)
+    assert tree.nodes[0] == SubtractionNode(tree.seed, True)
+    assert len(tree.nodes) == len(tree.edges) + 1
+    assert [(_flat(e.source), _flat(e.target), (int(e.multiple.rat), int(e.multiple.tau)),
+             e.root_index - 1, n.first_visit)
+            for e, n in zip(tree.edges, tree.nodes[1:])] == events
+    assert [(_flat(w), n) for w, n in tree.arrivals.items()] == list(arrivals.items())
+    assert [(_flat(w), c) for w, c in tree.lower_dominants] == dominants
+
+
+FIFO_SEEDS = [(H2, "1t,1"), (H3, "3,1,0"), (H3, "2,1t,1"), (H3, "1+2t,2+1t,1"),
+              (H4, "1,0,0,1"), (H4, "0,0,0,12+1t")]
+
+
+@pytest.mark.parametrize("group,text", FIFO_SEEDS)
+def test_build_tree_matches_fifo_reference(group, text):
+    _assert_tree_is_fifo(build_tree(group, group.parse_weight(text)))
+
+
+def test_build_tree_exact_keys_past_packing(monkeypatch):
+    # 4-bit lanes, as in test_fast_dominants_exact_keys_past_packing: each
+    # tree outgrows the packed keys part way through and is rekeyed by rows
+    switched = []
+    unpack = weightsys._unpack_keys
+
+    def spy(keys, bits, width):
+        switched.append(bits)
+        return unpack(keys, bits, width)
+
+    monkeypatch.setattr(weightsys, "_key_bits",
+                        lambda width, bound: 4 if bound < 8 else None)
+    monkeypatch.setattr(weightsys, "_unpack_keys", spy)
+    for seed in (H3.weight(0, 4, 0), H3.weight(3, 3, 0), H2.weight(7, "3t")):
+        switched.clear()
+        _assert_tree_is_fifo(build_tree(seed.group, seed))
+        assert 4 in switched and None in switched, seed
+
+
+@pytest.mark.parametrize("group,text", [
+    (H2, "1t,1"), (H3, "2,0,0"), (H3, "3,1,0"), (H4, "1,0,0,1")])
+def test_build_tree_node_guard_boundary(group, text):
+    # max_nodes bounds the distinct points of the tree: the level child
+    # budget must not trip before it on a tree within the bound
+    seed = group.parse_weight(text)
+    tree = build_tree(group, seed)
+    exact = build_tree(group, seed, max_nodes=len(tree.arrivals))
+    assert tree_to_json(exact) == tree_to_json(tree)
+    assert list(exact.arrivals.items()) == list(tree.arrivals.items())
+    with pytest.raises(SizeLimitError, match=f"exceeds {len(tree.arrivals) - 1} nodes"):
+        build_tree(group, seed, max_nodes=len(tree.arrivals) - 1)
+
+
+def test_tree_and_dominants_share_the_int64_guard():
+    seed = H3.weight("2147483649+1t", 0, 0)
+    with pytest.raises(SizeLimitError) as tree_error:
+        build_tree(H3, seed)
+    with pytest.raises(SizeLimitError) as dominants_error:
+        weight_system_dominants(H3, seed)
+    assert str(tree_error.value) == str(dominants_error.value)
 
 
 # -- closed-form catalogue -----------------------------------------------------
