@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import DomainError
@@ -125,7 +126,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): send the rest of the
+        # output to devnull so the exit-time flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

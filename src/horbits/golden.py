@@ -37,11 +37,12 @@ _RationalLike = (int, Fraction)
 class GoldenNumber:
     """An element ``q + r*tau`` of Q(tau) with exact rational parts."""
 
-    __slots__ = ("rat", "tau")
+    __slots__ = ("rat", "tau", "_hash")
 
     def __init__(self, rat=0, tau=0):
-        object.__setattr__(self, "rat", Fraction(rat))
-        object.__setattr__(self, "tau", Fraction(tau))
+        # Fractions are immutable: share them rather than copy
+        object.__setattr__(self, "rat", rat if type(rat) is Fraction else Fraction(rat))
+        object.__setattr__(self, "tau", tau if type(tau) is Fraction else Fraction(tau))
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenNumber is immutable")
@@ -179,7 +180,13 @@ class GoldenNumber:
         return (self - other).sign() >= 0
 
     def __hash__(self):
-        return hash((self.rat, self.tau))
+        # computed once: the flat-row helpers share one number between weights
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.rat, self.tau))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __bool__(self):
         return self.rat != 0 or self.tau != 0
@@ -230,6 +237,14 @@ def _sign_pair(a: int, b: int) -> int:
     if s > 0:
         return 1 if s * s > 5 * b * b else -1
     return 1 if 5 * b * b > s * s else -1
+
+
+def _pair_pow(a: int, b: int, n: int) -> tuple[int, int]:
+    """``(a + b*tau)**n`` for integers and ``n >= 0``, as an integer pair."""
+    pa, pb = 1, 0
+    for _ in range(n):
+        pa, pb = pa * a + pb * b, pa * b + pb * a + pb * b
+    return pa, pb
 
 
 def golden(rat=0, tau=0) -> GoldenNumber:

@@ -11,9 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .errors import DomainError, GroupMismatchError
-from .golden import GoldenNumber, TAU, ZERO, _sign_pair, parse_golden
+from .golden import GoldenNumber, TAU, ZERO, _pair_pow, _sign_pair, parse_golden
 
 __all__ = [
     "Group",
@@ -98,19 +99,21 @@ class Weight:
 
 
 def _flatten(weights) -> tuple[list[tuple[int, ...]], int]:
-    """Scale weights to a common denominator and flatten to integer tuples."""
+    """Scale weights to a common denominator and flatten to integer tuples.
+
+    Each coordinate object is converted once: weights built from flat rows
+    share one ``GoldenNumber`` per distinct coordinate.
+    """
+    numbers = {id(c): c for w in weights for c in w.coords}
     denom = 1
-    for w in weights:
-        for c in w.coords:
-            denom = math.lcm(denom, c.rat.denominator, c.tau.denominator)
-    flats = []
-    for w in weights:
-        flat = []
-        for c in w.coords:
-            # denom is a multiple of both denominators: integer math is exact
-            flat.append(c.rat.numerator * (denom // c.rat.denominator))
-            flat.append(c.tau.numerator * (denom // c.tau.denominator))
-        flats.append(tuple(flat))
+    for c in numbers.values():
+        denom = math.lcm(denom, c.rat.denominator, c.tau.denominator)
+    # denom is a multiple of both denominators: integer math is exact
+    parts = {key: (c.rat.numerator * (denom // c.rat.denominator),
+                   c.tau.numerator * (denom // c.tau.denominator))
+             for key, c in numbers.items()}
+    flats = [tuple(chain.from_iterable([parts[id(c)] for c in w.coords]))
+             for w in weights]
     return flats, denom
 
 
@@ -133,6 +136,17 @@ def _unflatten(group: "Group", flats, denom: int) -> list[Weight]:
             coords.append(number)
         weights.append(Weight(group, tuple(coords)))
     return weights
+
+
+def _pair_dot(fx, fy) -> tuple[int, int]:
+    """``sum_i x_i * y_i`` over Z[tau] for flat integer rows, as a pair."""
+    na = nb = 0
+    for i in range(0, len(fx), 2):
+        a, b, c, d = fx[i], fx[i + 1], fy[i], fy[i + 1]
+        bd = b * d  # tau**2 = 1 + tau
+        na += a * c + bd
+        nb += a * d + b * c + bd
+    return na, nb
 
 
 def _reflect_flat(flat, i, int_row):
@@ -238,6 +252,10 @@ class Group:
         self._adjugate_int = tuple(
             tuple((int(v.rat), int(v.tau)) for v in row) for row in adj
         )
+        # cartan_det * conj(cartan_det) is the integer field norm N(cartan_det)
+        conj = self.cartan_det.conjugate()
+        self._det_conj = (int(conj.rat), int(conj.tau))
+        self._det_field_norm = int((self.cartan_det * conj).rat)
 
     def __repr__(self):
         return f"Group({self.tag})"
@@ -271,44 +289,56 @@ class Group:
     # -- inner product and reflections -------------------------------------
 
     def inner(self, x: Weight, y: Weight) -> GoldenNumber:
-        """Exact scalar product x^T . gram . y in the weight space."""
+        """Exact scalar product x^T . gram . y in the weight space.
+
+        Computed on integer pairs: ``x`` and ``y`` over one denominator
+        ``D``, then ``cartan_det * D**2 * <x,y>`` through the integer
+        adjugate, then one division.
+        """
         self._own(x)
         self._own(y)
-        total = ZERO
-        for i, xi in enumerate(x.coords):
-            if not xi:
-                continue
-            row = self.gram[i]
-            acc = ZERO
-            for j, yj in enumerate(y.coords):
-                if yj:
-                    acc = acc + row[j] * yj
-            total = total + xi * acc
-        return total
+        (fx, fy), denom = _flatten([x, y])
+        return self._over_det(self._det_inner_pair(fx, fy), 1, denom * denom)
 
     def norm(self, x: Weight) -> GoldenNumber:
         return self.inner(x, x)
 
-    def _det_norm_pair(self, flat) -> tuple[int, int]:
-        """``cartan_det * <x,x>`` as an integer pair ``(a, b)`` = ``a + b*tau``.
-
-        ``flat`` holds the integer parts ``(a_1, b_1, ..., a_r, b_r)`` of a
-        Z[tau] vector x; the product runs through the integer adjugate, so
-        no Fraction is built.
-        """
-        na = nb = 0
-        for i, row in enumerate(self._adjugate_int):
+    def _adj_flat(self, flat) -> tuple[int, ...]:
+        """The flat row of ``adjugate @ y`` for a flat row ``y``: its root
+        coordinates times ``cartan_det``."""
+        out = []
+        for row in self._adjugate_int:
             ta = tb = 0
             for j, (ca, cb) in enumerate(row):
                 aj = flat[2 * j]
                 bj = flat[2 * j + 1]
                 ta += ca * aj + cb * bj
                 tb += ca * bj + cb * aj + cb * bj
-            ai = flat[2 * i]
-            bi = flat[2 * i + 1]
-            na += ai * ta + bi * tb
-            nb += ai * tb + bi * ta + bi * tb
-        return na, nb
+            out += (ta, tb)
+        return tuple(out)
+
+    def _det_inner_pair(self, fx, fy) -> tuple[int, int]:
+        """``cartan_det * <x,y>`` as an integer pair ``(a, b)`` = ``a + b*tau``.
+
+        ``fx`` and ``fy`` hold the integer parts ``(a_1, b_1, ..., a_r, b_r)``
+        of Z[tau] vectors; the product runs through the integer adjugate, so
+        no Fraction is built.  Rows over a denominator ``D`` give
+        ``cartan_det * D**2 * <x,y>``.
+        """
+        return _pair_dot(fx, self._adj_flat(fy))
+
+    def _over_det(self, pair, power: int, scale: int) -> GoldenNumber:
+        """``(a + b*tau) / (cartan_det**power * scale)`` for an integer pair.
+
+        Multiplying by the Galois conjugate of ``cartan_det`` turns the
+        divisor into the integer ``N(cartan_det)**power * scale``, so the
+        result takes one exact division per part.
+        """
+        a, b = pair
+        ca, cb = _pair_pow(*self._det_conj, power)
+        divisor = self._det_field_norm ** power * scale
+        return GoldenNumber(Fraction(a * ca + b * cb, divisor),
+                            Fraction(a * cb + b * ca + b * cb, divisor))
 
     def reflect(self, i: int, x: Weight) -> Weight:
         """Apply the i-th simple reflection (1-based index)."""

@@ -6,17 +6,36 @@ since all orbit points share one norm.  Odd-degree indices sum
 ``<mu, v>**(2p-1)`` over the orbit for a distinguished direction ``v``; they
 are computed unnormalized (``v`` as given), which keeps every value inside
 Q(tau) and does not affect whether the sum vanishes.
+
+Inner products, heights and anomaly sums run on integer pairs
+``a + b*tau`` over one shared denominator ``D``: the weights are flattened
+to the integer rows of :mod:`horbits.groups`, each product
+``cartan_det * D**2 * <x,y>`` goes through the integer adjugate of the
+Cartan matrix, powers and sums stay in Z[tau], and the total is divided
+once at the end.  Branching projects and reflects the same rows, and builds
+one ``GoldenNumber`` per distinct height and one ``Weight`` per distinct
+child dominant.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, GroupMismatchError, NonDominantError
-from .golden import GoldenNumber, TAU, ZERO
-from .groups import A1, A2, Group, H2, H3, Weight, _flatten, get_group
-from .orbits import Decomposition, WeightMultiset, _by_norm, generate_orbit
+from .golden import GoldenNumber, TAU, ZERO, _pair_pow, _sign_pair
+from .groups import A1, A2, Group, H2, H3, Weight, _flatten, _pair_dot, _unflatten, get_group
+from .orbits import (
+    Decomposition,
+    WeightMultiset,
+    _check_orbit_seed,
+    _element_sort_key,
+    _flat_orbit_size,
+    _norm_order,
+    _orbit_flats,
+    _pair_ranks,
+)
 
 __all__ = [
     "IndexValue",
@@ -65,24 +84,28 @@ def multiset_even_index(multiset: WeightMultiset, p: int) -> IndexValue:
     """Brute-force sum of ``<mu,mu>**p`` over a weight multiset, exactly.
 
     The sum runs in integer pairs ``a + b*tau``: the weights are scaled to
-    one shared denominator ``D``, each term ``(det * D**2 * <mu,mu>)**p`` is
-    formed through the integer adjugate of the Cartan matrix, and the total
-    is divided by ``(det * D**2)**p`` once at the end.
+    one shared denominator ``D``, each distinct ``(det * D**2 * <mu,mu>)**p``
+    is formed once through the integer adjugate of the Cartan matrix, and
+    the total is divided by ``(det * D**2)**p`` once at the end.
     """
     if p < 0:
         raise DomainError("even index needs p >= 0")
     group = multiset.group
     flats, denom = _flatten(multiset.tally)
-    total_a = total_b = 0
+    norms = Counter()
     for flat, count in zip(flats, multiset.tally.values()):
-        na, nb = group._det_norm_pair(flat)
-        pa, pb = 1, 0
-        for _ in range(p):
-            pa, pb = pa * na + pb * nb, pa * nb + pb * na + pb * nb
-        total_a += pa * count
-        total_b += pb * count
-    scale = (group.cartan_det * denom ** 2) ** p
-    return IndexValue(GoldenNumber(total_a, total_b) / scale, 2 * p)
+        norms[group._det_inner_pair(flat, flat)] += count
+    return IndexValue(group._over_det(_power_sum(norms, p), p, denom ** (2 * p)), 2 * p)
+
+
+def _power_sum(tally, p: int) -> tuple[int, int]:
+    """``sum(count * (a + b*tau)**p)`` over a tally of integer pairs."""
+    total_a = total_b = 0
+    for (a, b), count in tally.items():
+        pa, pb = _pair_pow(a, b, p)
+        total_a += count * pa
+        total_b += count * pb
+    return total_a, total_b
 
 
 def direct_product_index(factors, p: int) -> IndexValue:
@@ -131,21 +154,16 @@ def axis_directions(group: Group) -> tuple[Weight, ...]:
     return tuple(out)
 
 
-def _direction_form(group: Group, direction: Weight):
-    # gram * v, so each height is a single dot product
-    return tuple(
-        sum((group.gram[i][j] * direction.coords[j] for j in range(group.rank)),
-            start=ZERO)
-        for i in range(group.rank)
-    )
-
-
 def anomaly_number(group: Group, dominant: Weight, direction: Weight,
                    degree: int) -> IndexValue:
     """Odd index: sum of ``<mu, v>**degree`` over the orbit of ``dominant``.
 
     The direction is used as given (not normalized); scaling ``v`` by ``c``
     scales the result by ``c**degree``, so vanishing is scale-independent.
+    The orbit and ``v`` share one denominator ``D``, so with ``u = adj @ v``
+    each height ``det * D**2 * <mu, v>`` is the integer pair ``mu . u``; the
+    heights are tallied, each distinct one is raised to ``degree`` in
+    integers, and the sum is divided by ``(det * D**2)**degree`` once.
     """
     group._own(dominant)
     group._own(direction)
@@ -155,12 +173,11 @@ def anomaly_number(group: Group, dominant: Weight, direction: Weight,
         raise DomainError("anomaly degree must be odd and positive")
     if not dominant.is_dominant:
         raise NonDominantError(f"{dominant} is not dominant")
-    form = _direction_form(group, direction)
-    total = ZERO
-    for w in generate_orbit(group, dominant).elements:
-        height = sum((form[i] * w.coords[i] for i in range(group.rank)), start=ZERO)
-        total = total + height ** degree
-    return IndexValue(total, degree)
+    (seed, v), denom = _flatten([dominant, direction])
+    u = group._adj_flat(v)
+    heights = Counter(_pair_dot(x, u) for x in _orbit_flats(group, seed))
+    total = _power_sum(heights, degree)
+    return IndexValue(group._over_det(total, degree, denom ** (2 * degree)), degree)
 
 
 def anomaly_number_normalized(group: Group, dominant: Weight, direction: Weight,
@@ -211,6 +228,30 @@ def _make_rules():
 _RULES = _make_rules()
 
 
+def _check_rule(group: Group, rule: BranchingRule) -> None:
+    if rule.parent is not group:
+        raise GroupMismatchError(
+            f"rule branches {rule.parent.tag}, group is {group.tag}")
+
+
+def _int_projection(rule: BranchingRule) -> tuple[list[tuple[int, ...]], int]:
+    """The projection rows as flat integer rows over one denominator ``S``.
+
+    A flat parent row over ``D`` projects to the flat child row over
+    ``D * S`` whose coordinate ``k`` is ``_pair_dot(rows[k], x)``.
+    """
+    child = rule.child
+    if len(rule.projection) != child.rank:
+        raise DomainError(f"{child.tag} weight needs {child.rank} coordinates, "
+                          f"got {len(rule.projection)}")
+    # each row is a linear form on the parent's weights: flatten it like one
+    return _flatten([rule.parent.weight(row) for row in rule.projection])
+
+
+def _project_flat(rows, flat) -> tuple[int, ...]:
+    return tuple(part for row in rows for part in _pair_dot(row, flat))
+
+
 def branching_rule(parent, child) -> BranchingRule:
     """Look up one of the built-in projection rules."""
     parent = parent if isinstance(parent, Group) else get_group(parent)
@@ -227,26 +268,30 @@ def branching_rule(parent, child) -> BranchingRule:
 def branch_decompose(group: Group, rule: BranchingRule, dominant: Weight) -> Decomposition:
     """Project an orbit onto the subgroup and tally child orbits.
 
-    Every element is projected and mapped to its child-dominant
-    representative; as with products, each child orbit copy contributes
-    exactly one dominant point.
+    Every element is projected; as with products, each child orbit copy
+    contributes exactly one dominant point, so the dominant images are
+    tallied.  They are tallied in the element order of
+    :func:`generate_orbit`, which fixes the order of ``parts``.
     """
-    if rule.parent is not group:
-        raise GroupMismatchError(
-            f"rule branches {rule.parent.tag}, group is {group.tag}")
-    out = Decomposition(rule.child)
-    covered = 0
-    orbit = generate_orbit(group, dominant)
-    for w in orbit.elements:
-        image = rule.project(w)
-        if image.is_dominant:
-            out.add(image, 1)
-            covered += rule.child.orbit_size(image)
-    if covered != len(orbit.elements):
+    _check_rule(group, rule)
+    _check_orbit_seed(group, dominant)
+    rows, scale = _int_projection(rule)
+    (seed,), denom = _flatten([dominant])
+    orbit = _orbit_flats(group, seed)
+    images = {}
+    for x in orbit:
+        image = _project_flat(rows, x)
+        if all(_sign_pair(image[i], image[i + 1]) >= 0 for i in range(0, len(image), 2)):
+            images[x] = image
+    parts = Counter(images[x] for x in sorted(images, key=_element_sort_key))
+    covered = sum(count * _flat_orbit_size(rule.child, image)
+                  for image, count in parts.items())
+    if covered != len(orbit):
         raise DomainError(
-            f"branching tally covers {covered} of {len(orbit.elements)} points"
+            f"branching tally covers {covered} of {len(orbit)} points"
         )
-    return out
+    weights = _unflatten(rule.child, parts, denom * scale)
+    return Decomposition(rule.child, dict(zip(weights, parts.values())))
 
 
 @dataclass(frozen=True)
@@ -260,28 +305,40 @@ class BranchLayer:
 
 def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
                   direction: Weight | None = None) -> list[BranchLayer]:
-    """Slice an orbit into child orbits on parallel planes orthogonal to v."""
-    if rule.parent is not group:
-        raise GroupMismatchError(
-            f"rule branches {rule.parent.tag}, group is {group.tag}")
+    """Slice an orbit into child orbits on parallel planes orthogonal to v.
+
+    Each element is projected and reflected to the child's dominant chamber
+    as a flat integer row, and its height is the integer pair ``x . u``
+    with ``u = adj @ v`` over the shared denominator ``D``.  Layers come by
+    descending height, then in the listing order of
+    :func:`horbits.orbits._norm_order` of their child dominants, both
+    decided by exact comparison (``cartan_det * D**2 > 0`` keeps the order
+    of the heights).
+    """
+    _check_rule(group, rule)
     if direction is None:
         direction = rule.direction or default_direction(group)
     group._own(direction)
     if direction.is_zero:
         raise DomainError("direction must be nonzero")
-    form = _direction_form(group, direction)
-    tally: dict[tuple[GoldenNumber, Weight], int] = {}
-    orbit = generate_orbit(group, dominant)
-    for w in orbit.elements:
-        height = sum((form[i] * w.coords[i] for i in range(group.rank)), start=ZERO)
-        child, _ = rule.child.to_dominant(rule.project(w))
-        key = (height, child)
-        tally[key] = tally.get(key, 0) + 1
-    # order by child first, then (stably) by descending height, compared exactly
-    by_child = _by_norm(rule.child, [(c, (h, n)) for (h, c), n in tally.items()])
-    layers = [BranchLayer(h, c, n) for c, (h, n) in by_child]
-    layers.sort(key=lambda l: l.height, reverse=True)
-    return layers
+    _check_orbit_seed(group, dominant)
+    rows, scale = _int_projection(rule)
+    (seed, v), denom = _flatten([dominant, direction])
+    u = group._adj_flat(v)
+    child = rule.child
+    tally = Counter(
+        (_pair_dot(x, u), child._to_dominant_flat(_project_flat(rows, x))[0])
+        for x in _orbit_flats(group, seed)
+    )
+    heights = list(dict.fromkeys(h for h, _ in tally))
+    children = list(dict.fromkeys(c for _, c in tally))
+    height_rank = dict(zip(heights, _pair_ranks(heights)))
+    by_norm = _norm_order(children, [child._det_inner_pair(c, c) for c in children])
+    child_rank = {children[k]: n for n, k in enumerate(by_norm)}
+    order = sorted(tally, key=lambda key: (-height_rank[key[0]], child_rank[key[1]]))
+    values = {h: group._over_det(h, 1, denom * denom) for h in heights}
+    weights = dict(zip(children, _unflatten(child, children, denom * scale)))
+    return [BranchLayer(values[h], weights[c], tally[h, c]) for h, c in order]
 
 
 # ---------------------------------------------------------------------------

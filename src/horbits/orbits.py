@@ -61,6 +61,12 @@ def _orbit_flats(group: Group, seed_flat):
     return seen
 
 
+def _flat_orbit_size(group: Group, flat) -> int:
+    """Orbit size of a dominant flat row, from its zero coordinates."""
+    return group._orbit_size_of_zeros(
+        [not (flat[i] or flat[i + 1]) for i in range(0, len(flat), 2)])
+
+
 def _element_sort_key(flat):
     # descending real embedding, exact integer tie-break: deterministic
     floats = tuple(-(flat[i] + flat[i + 1] * 1.618033988749895)
@@ -111,7 +117,7 @@ def _by_norm(group: Group, items) -> list:
     """``(weight, value)`` pairs ordered by :func:`_norm_order` of the weights."""
     items = list(items)
     flats, _ = _flatten([w for w, _ in items])
-    order = _norm_order(flats, [group._det_norm_pair(flat) for flat in flats])
+    order = _norm_order(flats, [group._det_inner_pair(flat, flat) for flat in flats])
     return [items[k] for k in order]
 
 
@@ -189,11 +195,15 @@ class Decomposition:
 # operations
 
 
-def generate_orbit(group: Group, dominant: Weight) -> Orbit:
-    """All images of a dominant weight under the group, exactly deduplicated."""
+def _check_orbit_seed(group: Group, dominant: Weight) -> None:
     group._own(dominant)
     if not dominant.is_dominant:
         raise NonDominantError(f"orbit seed {dominant} is not dominant")
+
+
+def generate_orbit(group: Group, dominant: Weight) -> Orbit:
+    """All images of a dominant weight under the group, exactly deduplicated."""
+    _check_orbit_seed(group, dominant)
     flats, denom = _flatten([dominant])
     seen = _orbit_flats(group, flats[0])
     elements = tuple(_unflatten(group, sorted(seen, key=_element_sort_key), denom))
@@ -299,10 +309,6 @@ def decompose_product(orbits) -> Decomposition:
     ((seed,), *factors), denom = _flatten_lists(
         [[first.dominant], *(orbit.elements for orbit in iterated)])
 
-    def orbit_size(flat) -> int:
-        return group._orbit_size_of_zeros(
-            [not (flat[i] or flat[i + 1]) for i in range(0, len(flat), 2)])
-
     parts = {seed: 1}
     for factor in factors:
         merged: dict[tuple[int, ...], int] = {}
@@ -311,18 +317,18 @@ def decompose_product(orbits) -> Decomposition:
             for y in factor:
                 nu, _ = group._to_dominant_flat(tuple([a + b for a, b in zip(lam, y)]))
                 tally[nu] = tally.get(nu, 0) + 1
-            lam_size = orbit_size(lam)
+            lam_size = _flat_orbit_size(group, lam)
             for nu, count in tally.items():
-                m, rest = divmod(lam_size * count, orbit_size(nu))
+                m, rest = divmod(lam_size * count, _flat_orbit_size(group, nu))
                 if rest:
                     raise MalformedMultisetError(
                         f"{count} sums reach a dominant of an orbit of "
-                        f"{orbit_size(nu)} points from one of {lam_size}"
+                        f"{_flat_orbit_size(group, nu)} points from one of {lam_size}"
                     )
                 merged[nu] = merged.get(nu, 0) + mult * m
         parts = merged
     total = prod(len(orbit.elements) for orbit in orbits)
-    covered = sum(mult * orbit_size(nu) for nu, mult in parts.items())
+    covered = sum(mult * _flat_orbit_size(group, nu) for nu, mult in parts.items())
     if covered != total:
         raise MalformedMultisetError(
             f"dominant tally covers {covered} of {total} product points"

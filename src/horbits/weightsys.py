@@ -48,6 +48,8 @@ __all__ = [
 MAX_TREE_NODES = 1_000_000
 # ends the message of every node guard; the command line names its flag instead
 _RAISE_MAX_NODES = "raise max_nodes"
+_LEVEL_OVER_BUDGET = ("weight system level needs {total} children, over the node budget; "
+                      + _RAISE_MAX_NODES)
 
 _TREE_GROUPS = ("H2", "H3", "H4")
 
@@ -99,8 +101,10 @@ def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
     U, V = _step_matrices(group)
     frontier = _int_row(point)
     edges = []
+    over_budget = (f"{point} has {{total}} subtraction children, "
+                   "over the fixed budget of {budget}")
     for i, _, ma, mb in _child_steps(frontier, _signs(frontier[:, 0::2], frontier[:, 1::2]),
-                                     None, None, budget=8 * MAX_TREE_NODES):
+                                     None, None, 8 * MAX_TREE_NODES, over_budget):
         children = frontier[0] - ma[:, None] * U[i] - mb[:, None] * V[i]
         targets = _unflatten(group, children.tolist(), 1)
         edges += [SubtractionEdge(point, t, GoldenNumber(a, b), i + 1)
@@ -121,9 +125,10 @@ def _check_seed(group: Group, seed: Weight) -> None:
 
 
 def _int_row(w: Weight) -> np.ndarray:
-    """The flat row of a Z[tau] weight as a 1-row int64 array, range-checked."""
+    """The flat row of a Z[tau] weight as a 1-row int64 array, held to the
+    bound of :func:`_signs` on ``|2a + b|`` and ``|b|``."""
     parts = _flatten([w])[0][0]
-    if max(abs(part) for part in parts) > _MAX_COORD:
+    if max(max(abs(2 * a + b), abs(b)) for a, b in zip(parts[0::2], parts[1::2])) > _MAX_COORD:
         raise SizeLimitError(f"{w} exceeds the exact int64 range")
     return np.array([parts], dtype=np.int64)
 
@@ -320,9 +325,10 @@ def _listing_order(rows: np.ndarray, adj) -> np.ndarray:
 
 
 # |2a + b| and |b| up to 2**30 keep the squares taken by _signs below 2**63.
-# Point coordinates are held to the same bound, so their children (below
-# 5 * 2**30) and their root coordinates times det (adjugate and det parts are
-# below 8 for H2, H3, H4) stay far inside int64 before they are checked.
+# Seeds are held to that bound (integer coordinates up to 2**29), and points
+# to |a|, |b| <= 2**30, so their children (below 5 * 2**30) and their root
+# coordinates times det (adjugate and det parts are below 8 for H2, H3, H4)
+# stay far inside int64 before they are checked.
 _MAX_COORD = 1 << 30
 
 
@@ -355,7 +361,8 @@ def _missing(keys: np.ndarray, probe: np.ndarray, pos: np.ndarray) -> np.ndarray
     return ~found
 
 
-def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det, budget: int):
+def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det, budget: int,
+                 over_budget: str = _LEVEL_OVER_BUDGET):
     """Subtraction steps of the frontier rows, as ``(i, parents, ma, mb)`` per root.
 
     The child of ``frontier[parents[k]]`` is that row minus ``(ma[k] +
@@ -365,7 +372,8 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det, budget: in
     into the positive root cone are kept: subtracting ``m * alpha_i`` lowers
     only root coordinate ``i``, and a point outside the cone never reaches a
     dominant point again.  The child count is checked against ``budget``
-    before any step array is allocated.
+    before any step array is allocated; ``over_budget`` is the message, with
+    fields ``total`` and ``budget``.
     """
     plans = []
     total = 0
@@ -379,8 +387,7 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det, budget: in
         total += int(g.sum())
         plans.append((i, rows, fa // g, fb // g, g))
     if total > budget:
-        raise SizeLimitError(f"weight system level needs {total} children, over the "
-                             f"node budget; {_RAISE_MAX_NODES}")
+        raise SizeLimitError(over_budget.format(total=total, budget=budget))
     steps = []
     for i, rows, sa, sb, g in plans:
         ends = np.cumsum(g)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import horbits
 from horbits.cli import main
 
 
@@ -256,3 +261,20 @@ def test_determinism(capsys):
     third = run(capsys, "product", "H3", "1,0,0", "0,0,1", "--decompose")
     fourth = run(capsys, "product", "H3", "1,0,0", "0,0,1", "--decompose")
     assert third == fourth and third[0] == 0
+
+
+def test_closed_pipe_exits_without_traceback():
+    # `horbits orbit H4 1,1,1,1 | head -1`: the 14,400 lines overflow the pipe
+    # buffer, so the writer meets a closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(horbits.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "horbits", "orbit", "H4", "1,1,1,1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert first == b"# orbit H4 1,1,1,1 size=14400\n"
+    assert proc.returncode == 1
+    assert err == b""

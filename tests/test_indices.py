@@ -8,6 +8,8 @@ from horbits.errors import DomainError, GroupMismatchError, NonDominantError
 from horbits.golden import GoldenNumber, TAU, golden
 from horbits.groups import A1, A2, H2, H3, H4
 from horbits.indices import (
+    BranchLayer,
+    BranchingRule,
     anomaly_number,
     anomaly_number_normalized,
     axis_directions,
@@ -22,7 +24,7 @@ from horbits.indices import (
     multiset_even_index,
     subgroup_rank,
 )
-from horbits.orbits import generate_orbit, orbit_product, orbit_sum
+from horbits.orbits import Decomposition, _by_norm, generate_orbit, orbit_product, orbit_sum
 
 
 def idx(orbit, p):
@@ -306,3 +308,154 @@ def test_coordinate_slots_carry_equal_multisets(rng):
         orbit = generate_orbit(H3, lam)
         slots = [Counter(str(w.coords[i]) for w in orbit.elements) for i in range(3)]
         assert slots[0] == slots[1] == slots[2]
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: the GoldenNumber loops that the integer-pair kernels
+# replaced, kept to pin every value and order exactly
+
+
+def _ref_inner(group, x, y):
+    total = golden(0)
+    for i, xi in enumerate(x.coords):
+        for j, yj in enumerate(y.coords):
+            total = total + xi * group.gram[i][j] * yj
+    return total
+
+
+def _ref_heights(group, dominant, direction):
+    form = [sum((group.gram[i][j] * direction.coords[j] for j in range(group.rank)),
+                start=golden(0)) for i in range(group.rank)]
+    for w in generate_orbit(group, dominant).elements:
+        yield w, sum((form[i] * w.coords[i] for i in range(group.rank)), start=golden(0))
+
+
+def _ref_anomalies(group, dominant, direction, degrees):
+    heights = [height for _, height in _ref_heights(group, dominant, direction)]
+    totals = []
+    for degree in degrees:
+        total = golden(0)
+        for height in heights:
+            total = total + height ** degree
+        totals.append(total)
+    return totals
+
+
+def _ref_branch_layers(group, rule, dominant, direction):
+    tally = {}
+    for w, height in _ref_heights(group, dominant, direction):
+        child, _ = rule.child.to_dominant(rule.project(w))
+        tally[height, child] = tally.get((height, child), 0) + 1
+    by_child = _by_norm(rule.child, [(c, (h, n)) for (h, c), n in tally.items()])
+    layers = [BranchLayer(h, c, n) for c, (h, n) in by_child]
+    layers.sort(key=lambda l: l.height, reverse=True)
+    return layers
+
+
+def _ref_branch_decompose(group, rule, dominant):
+    out = Decomposition(rule.child)
+    for w in generate_orbit(group, dominant).elements:
+        image = rule.project(w)
+        if image.is_dominant:
+            out.add(image, 1)
+    return out
+
+
+def _ref_embedding_index(group, rule, dominant):
+    numerator = group.orbit_size(dominant) * _ref_inner(group, dominant, dominant)
+    denominator = golden(0)
+    for child, mult in _ref_branch_decompose(group, rule, dominant).parts.items():
+        size = rule.child.orbit_size(child)
+        denominator = denominator + size * mult * _ref_inner(rule.child, child, child)
+    return numerator / denominator
+
+
+def _random_number(rng):
+    """A golden number with signed parts over denominators 1, 2 and 3."""
+    return GoldenNumber(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
+                        Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+
+
+def _random_weight(group, rng):
+    return group.weight(*[_random_number(rng) for _ in range(group.rank)])
+
+
+def _random_signed_dominant(group, rng, max_nonzero):
+    """A nonzero dominant weight whose parts may be negative or fractional."""
+    while True:
+        coords = [golden(0)] * group.rank
+        for i in rng.sample(range(group.rank), rng.randint(1, max_nonzero)):
+            c = _random_number(rng)
+            coords[i] = -c if c < 0 else c
+        w = group.weight(*coords)
+        if not w.is_zero:
+            return w
+
+
+@pytest.mark.parametrize("group", [H2, H3, H4, A1, A2], ids=lambda g: g.tag)
+def test_inner_matches_fraction_reference(group, rng):
+    for _ in range(25):
+        x = _random_weight(group, rng)
+        y = _random_weight(group, rng)
+        assert group.inner(x, y) == _ref_inner(group, x, y)
+        assert group.inner(x, x) == _ref_inner(group, x, x)
+        assert group.norm(y) == _ref_inner(group, y, y)
+
+
+@pytest.mark.parametrize("group,max_nonzero,n_trials",
+                         [(H2, 2, 12), (H3, 3, 8), (H4, 2, 2)], ids=["H2", "H3", "H4"])
+def test_anomaly_matches_fraction_reference(group, max_nonzero, n_trials, rng):
+    for _ in range(n_trials):
+        lam = _random_signed_dominant(group, rng, max_nonzero)
+        directions = [default_direction(group), _random_weight(group, rng)]
+        for v in directions:
+            if v.is_zero:
+                continue
+            refs = _ref_anomalies(group, lam, v, (1, 3, 5, 7))
+            for degree, ref in zip((1, 3, 5, 7), refs):
+                value = anomaly_number(group, lam, v, degree)
+                assert value.degree == degree
+                assert value.value == ref
+
+
+def test_anomaly_h4_generic_orbit_vanishes():
+    value = anomaly_number(H4, H4.weight(1, 1, 1, 1), H4.weight(1, 0, 0, 0), 7)
+    assert value.value == golden(0)
+    assert str(value) == "0 (0.0)"
+
+
+_HALF = Fraction(1, 2)
+_RULES_UNDER_TEST = [
+    branching_rule(H2, A1),
+    branching_rule(H3, H2),
+    branching_rule(H3, A2),
+    # a scaled projection: its rows have their own denominator
+    BranchingRule(H3, H2, ((golden(0), golden(_HALF), golden(0)),
+                           (golden(0), golden(0), golden(_HALF))), H3.weight(1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("rule", _RULES_UNDER_TEST,
+                         ids=["H2-A1", "H3-H2", "H3-A2", "H3-H2-half"])
+def test_branch_layers_match_fraction_reference(rule, rng):
+    group = rule.parent
+    for _ in range(4):
+        lam = _random_signed_dominant(group, rng, group.rank)
+        for v in (None, _random_weight(group, rng)):
+            if v is not None and v.is_zero:
+                continue
+            layers = branch_layers(group, rule, lam, v)
+            ref_v = rule.direction if v is None else v
+            assert layers == _ref_branch_layers(group, rule, lam, ref_v)
+
+
+@pytest.mark.parametrize("rule", _RULES_UNDER_TEST,
+                         ids=["H2-A1", "H3-H2", "H3-A2", "H3-H2-half"])
+def test_branch_decompose_and_embedding_match_fraction_reference(rule, rng):
+    group = rule.parent
+    for _ in range(4):
+        lam = _random_signed_dominant(group, rng, group.rank)
+        parts = branch_decompose(group, rule, lam)
+        ref = _ref_branch_decompose(group, rule, lam)
+        assert list(parts.parts.items()) == list(ref.parts.items())
+        assert embedding_index(group, rule, lam) == _ref_embedding_index(group, rule, lam)

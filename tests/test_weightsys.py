@@ -69,6 +69,14 @@ def test_children_reject_non_ztau():
         subtraction_children(H2, H2.weight("1/2", 0))
 
 
+def test_children_budget_names_the_fixed_budget():
+    # subtraction_children has no max_nodes, so its guard names its own budget
+    with pytest.raises(SizeLimitError) as error:
+        subtraction_children(H2, H2.weight(10**8, 0))
+    assert str(error.value) == ("(100000000,0) has 100000000 subtraction children, "
+                                "over the fixed budget of 8000000")
+
+
 # -- the H2 (tau, 1) tree ---------------------------------------------------
 # The weight system is the 10-point seed orbit plus the whole lower pentagon
 # O_(0,tau): two pentagon points appear as intermediate stops of double-step
@@ -369,7 +377,7 @@ def _fifo_tree(group, seed):
                     queue.append(target)
     lower = [f for f in queue
              if all(_sign_pair(f[2 * i], f[2 * i + 1]) >= 0 for i in range(rank))]
-    order = _norm_order(lower, [group._det_norm_pair(f) for f in lower])
+    order = _norm_order(lower, [group._det_inner_pair(f, f) for f in lower])
     return events, arrivals, [(lower[k], max(1, arrivals[lower[k]])) for k in order]
 
 
@@ -433,6 +441,22 @@ def test_tree_and_dominants_share_the_int64_guard():
     with pytest.raises(SizeLimitError) as dominants_error:
         weight_system_dominants(H3, seed)
     assert str(tree_error.value) == str(dominants_error.value)
+
+
+def test_seed_guard_matches_the_sign_test_bound():
+    # the sign test bounds |2a + b| and |b| by 2**30: an integer coordinate of
+    # 2**29 + 1 is past it, and the seed check must say so before any level
+    seed = H3.weight(2**29 + 1, 0, 0)
+    calls = (lambda s: weight_system_dominants(H3, s, max_nodes=10),
+             lambda s: build_tree(H3, s, max_nodes=10),
+             lambda s: subtraction_children(H3, s))
+    for call in calls:
+        with pytest.raises(SizeLimitError) as error:
+            call(seed)
+        assert str(error.value) == "(536870913,0,0) exceeds the exact int64 range"
+        # 2**29 itself passes the seed check and meets the node budget instead
+        with pytest.raises(SizeLimitError, match="536870912 .*children"):
+            call(H3.weight(2**29, 0, 0))
 
 
 # -- closed-form catalogue -----------------------------------------------------
