@@ -4,19 +4,30 @@ The omega-basis is mapped to Cartesian coordinates by a matrix ``M`` with
 ``M^T M`` equal to the (real-evaluated) Gram matrix, so Cartesian dot
 products reproduce the exact inner product to floating precision.  A seed's
 weight system then yields one concentric shell per lower-orbit dominant,
-exported as OBJ polylines or JSON.
+exported as OBJ polylines or JSON.  The shells are computed on flat
+integer rows and both files are written from templates, byte for byte as
+the per-point construction and ``json.dumps`` would write them.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import DomainError
-from .groups import Group, Weight
-from .orbits import generate_orbit
-from .weightsys import MAX_TREE_NODES, weight_system_dominants
+from .groups import Group, Weight, _flatten, _unflatten
+from .weightsys import (
+    MAX_TREE_NODES,
+    _json_list,
+    _key_bits,
+    _missing,
+    _row_keys,
+    _step_matrices,
+    weight_system_dominants,
+)
 
 __all__ = [
     "CartesianEmbedding",
@@ -29,6 +40,8 @@ __all__ = [
 ]
 
 EDGE_RELTOL = 1e-9
+# float64 coordinate differences per batch of shells in the edge search
+_EDGE_BATCH = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,20 +77,77 @@ class NestedPolyhedra:
     shells: tuple[Shell, ...]
 
 
-def _minimal_distance_edges(points: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Point-index pairs at the minimal nonzero pairwise distance."""
-    n = len(points)
-    if n < 2:
-        return ()
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    iu = np.triu_indices(n, k=1)
-    pair_d = dist[iu]
-    scale = pair_d.max()
-    nonzero = pair_d > scale * 1e-12
-    dmin = pair_d[nonzero].min()
-    keep = nonzero & (pair_d <= dmin * (1 + EDGE_RELTOL))
-    return tuple((int(i), int(j)) for i, j in zip(iu[0][keep], iu[1][keep]))
+def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of dominant flat rows as one int64 array, and their sizes.
+
+    Each orbit is in the element order of
+    :func:`horbits.orbits.generate_orbit`, and the orbits follow ``flats``.
+    All orbits are searched together, one vectorized level at a time: a
+    simple reflection fixes an orbit point or moves it one level up or
+    down, so a level's new points are its images minus the level before.
+    """
+    width = 2 * group.rank
+    # column 0 numbers the orbit, and no reflection changes it
+    U, V = (np.pad(M, ((0, 0), (1, 0))) for M in _step_matrices(group))
+    level = np.array([(k, *flat) for k, flat in enumerate(flats)], dtype=np.int64)
+    levels = [level]
+    previous = level[:0]
+    while True:
+        images = []
+        for i in range(group.rank):
+            a, b = level[:, 1 + 2 * i], level[:, 2 + 2 * i]
+            moved = (a != 0) | (b != 0)
+            images.append(level[moved] - a[moved, None] * U[i] - b[moved, None] * V[i])
+        images = np.concatenate(images)
+        # orbits are disjoint, so a point's coordinates alone are its key
+        bits = _key_bits(width, max(int(np.abs(rows[:, 1:]).max(initial=0))
+                                    for rows in (images, previous)))
+        keys, first = np.unique(_row_keys(images[:, 1:], bits), return_index=True)
+        known = np.sort(_row_keys(previous[:, 1:], bits))
+        new = _missing(known, keys, np.searchsorted(known, keys))
+        if not new.any():
+            break
+        previous, level = level, images[first[new]]
+        levels.append(level)
+    rows = np.concatenate(levels)
+    # generate_orbit's order: _element_sort_key per orbit, in the same float steps
+    a, b = rows[:, 1::2], rows[:, 2::2]
+    descending = -(a + b * 1.618033988749895)
+    order = np.lexsort((*rows[:, :0:-1].T, *descending[:, ::-1].T, rows[:, 0]))
+    return rows[order, 1:], np.bincount(rows[:, 0], minlength=len(levels[0]))
+
+
+def _shell_edges(points: np.ndarray, sizes: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """Point-index pairs at the minimal nonzero distance, per shell.
+
+    ``points`` stacks the shells, of ``sizes`` points each.  Shells of one
+    size are measured together, a bounded batch at a time; a pair's
+    distance is the float expression of a per-shell distance matrix, the
+    root of the squared coordinate differences summed in coordinate order.
+    """
+    starts = np.cumsum(sizes) - sizes
+    edges = [()] * len(sizes)
+    for n in sorted(set(sizes.tolist()) - {0, 1}):
+        shells = np.flatnonzero(sizes == n)
+        first, second = np.triu_indices(n, k=1)
+        batch = max(1, _EDGE_BATCH // (len(first) * points.shape[1]))
+        for chunk in np.split(shells, range(batch, len(shells), batch)):
+            stacked = points[starts[chunk, None] + np.arange(n)]
+            diff = np.take(stacked, first, axis=1)
+            diff -= np.take(stacked, second, axis=1)
+            diff *= diff
+            squared = diff[..., 0]
+            for c in range(1, points.shape[1]):
+                squared = squared + diff[..., c]
+            dist = np.sqrt(squared)
+            nonzero = dist > dist.max(axis=1, keepdims=True) * 1e-12
+            dmin = np.where(nonzero, dist, np.inf).min(axis=1, keepdims=True)
+            shell, pair = np.nonzero(nonzero & (dist <= dmin * (1 + EDGE_RELTOL)))
+            bounds = np.searchsorted(shell, np.arange(len(chunk) + 1)).tolist()
+            ends = list(zip(first[pair].tolist(), second[pair].tolist()))
+            for k, index in enumerate(chunk.tolist()):
+                edges[index] = tuple(ends[bounds[k]:bounds[k + 1]])
+    return edges
 
 
 def nested_polyhedra(group: Group, seed: Weight,
@@ -88,75 +158,119 @@ def nested_polyhedra(group: Group, seed: Weight,
     computed for ranks up to 3 only; rank-4 shells have none (pairwise
     distances over rank-4 orbits are too large to be useful).
     ``max_nodes`` is the size guard of the weight-system closure.
+
+    All shells' orbits are built together as flat integer rows and turned
+    into weights by one call, which shares a ``GoldenNumber`` per distinct
+    coordinate; each distinct coordinate is converted to a float once.  The
+    Cartesian points come from ``M @ v`` stacked over all points, which
+    gives the floats of one product per point (one ``points @ M.T`` need
+    not: BLAS may fuse its multiply-adds).
     """
-    dominants = weight_system_dominants(group, seed, max_nodes=max_nodes)
-    embedding = embed(group)
+    dominants = [w for w, _ in weight_system_dominants(group, seed, max_nodes=max_nodes)]
+    flats, denom = _flatten(dominants)
+    rows, sizes = _orbit_rows(group, flats)
+    exact = _unflatten(group, rows.tolist(), denom)
+    coords = list(chain.from_iterable(map(attrgetter("coords"), exact)))
+    values = {key: float(c) for key, c in {id(c): c for c in coords}.items()}
+    omega = np.fromiter(map(values.__getitem__, map(id, coords)), np.float64, len(coords))
+    basis = embed(group).basis_matrix
+    cartesian = (basis @ omega.reshape(-1, group.rank, 1))[:, :, 0]
+    edges = _shell_edges(cartesian, sizes) if group.rank <= 3 else [()] * len(sizes)
     shells = []
-    for dominant, _count in dominants:
-        orbit = generate_orbit(group, dominant)
-        pts = np.array([embedding.cartesian(w) for w in orbit.elements])
-        radius = float(np.sqrt(float(group.inner(dominant, dominant))))
-        edges = _minimal_distance_edges(pts) if group.rank <= 3 and len(pts) > 1 else ()
+    start = 0
+    for dominant, size, shell_edges in zip(dominants, sizes.tolist(), edges):
+        end = start + size
         shells.append(Shell(
             dominant=dominant,
-            radius=radius,
-            points=tuple(tuple(float(x) for x in p) for p in pts),
-            points_exact=orbit.elements,
-            edges=edges,
+            radius=float(np.sqrt(float(group.inner(dominant, dominant)))),
+            points=tuple(map(tuple, cartesian[start:end].tolist())),
+            points_exact=tuple(exact[start:end]),
+            edges=shell_edges,
         ))
+        start = end
     shells.sort(key=lambda s: -s.radius)
     return NestedPolyhedra(group, seed, tuple(shells))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+def _float_texts(shells, render) -> list[list[str]]:
+    """``render(float(x))`` of every point coordinate, flat per shell.
+
+    ``render`` runs once per distinct float, told apart by bit pattern so
+    that ``0.0`` and ``-0.0`` (equal as dict keys) keep their own texts.
+    """
+    values = np.fromiter(chain.from_iterable(chain.from_iterable(s.points for s in shells)),
+                         np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([render(x) for x in bits.view(np.float64).tolist()],
+                     dtype=object)[inverse].tolist()
+    counts = [sum(map(len, s.points)) for s in shells]
+    return [texts[end - n:end] for n, end in zip(counts, accumulate(counts))]
 
 
 def export_obj(poly: NestedPolyhedra, path) -> None:
     """Write shells as OBJ points (``v``) and polyline edges (``l``).
 
     OBJ is 3-dimensional: rank-2 groups are padded with z = 0 and rank-4
-    data has no 3-D realization here, so it is rejected (use JSON).
+    data has no 3-D realization here, so it is rejected (use JSON).  Each
+    shell is written from a template, with one text per distinct float.
     """
     rank = poly.group.rank
     if rank > 3:
         raise DomainError("OBJ export supports rank <= 3; use JSON for H4")
-    lines = [f"# nested orbits of {poly.group.tag}, seed ({poly.seed.text()})"]
-    offset = 0
-    for index, shell in enumerate(poly.shells):
-        lines.append(f"g shell{index}")
-        for p in shell.points:
-            coords = list(p) + [0.0] * (3 - rank)
-            lines.append("v " + " ".join(_fmt(c) for c in coords))
-        for i, j in shell.edges:
-            lines.append(f"l {offset + i + 1} {offset + j + 1}")
+    vertex = "v " + " ".join(["%s"] * rank + ["0"] * (3 - rank)) + "\n"
+    parts = [f"# nested orbits of {poly.group.tag}, seed ({poly.seed.text()})\n"]
+    offset = 1  # OBJ vertices are numbered from 1
+    for index, (shell, coords) in enumerate(
+            zip(poly.shells, _float_texts(poly.shells, "{:.15g}".format))):
+        parts.append(f"g shell{index}\n")
+        parts.append(vertex * len(shell.points) % tuple(coords))
+        parts.append("l %d %d\n" * len(shell.edges)
+                     % tuple([offset + k for edge in shell.edges for k in edge]))
         offset += len(shell.points)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, parts)
 
 
 def export_json(poly: NestedPolyhedra, path) -> None:
-    """Write shells with exact omega-coordinates and float Cartesian points."""
-    payload = {
-        "group": poly.group.tag,
-        "seed": list(poly.seed.texts()),
-        "shells": [
-            {
-                "dominant": list(s.dominant.texts()),
-                "radius": s.radius,
-                "points_exact": [list(w.texts()) for w in s.points_exact],
-                "points": [[float(x) for x in p] for p in s.points],
-                "edges": [list(e) for e in s.edges],
-            }
-            for s in poly.shells
-        ],
-    }
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    """Write shells with exact omega-coordinates and float Cartesian points.
+
+    Byte for byte ``json.dumps(payload, indent=2) + "\n"``, written shell by
+    shell from templates: one quoted text per distinct coordinate object and
+    one float text per distinct float.
+    """
+    exact = [list(chain.from_iterable(map(attrgetter("coords"), s.points_exact)))
+             for s in poly.shells]
+    numbers = {id(c): c for c in chain.from_iterable(exact)}
+    quoted = {key: json.dumps(str(c)) for key, c in numbers.items()}
+    floats = _float_texts(poly.shells, json.dumps)
+    row = _json_list(["%s"] * poly.group.rank, 8)
+    edge = _json_list(["%d", "%d"], 8)
+
+    def shells():
+        for index, (s, coords, texts) in enumerate(zip(poly.shells, exact, floats)):
+            yield (",\n    " if index else "[\n    ") + (
+                '{\n      "dominant": %s,\n      "radius": %s,\n      "points_exact": %s,'
+                '\n      "points": %s,\n      "edges": %s\n    }'
+                % (_json_list([json.dumps(t) for t in s.dominant.texts()], 6),
+                   json.dumps(s.radius),
+                   _json_list([row] * len(s.points_exact), 6)
+                   % tuple(map(quoted.__getitem__, map(id, coords))),
+                   _json_list([row] * len(s.points), 6) % tuple(texts),
+                   _json_list([edge] * len(s.edges), 6)
+                   % tuple([k for e in s.edges for k in e])))
+
+    head = ('{\n  "group": %s,\n  "seed": %s,\n  "shells": '
+            % (json.dumps(poly.group.tag),
+               _json_list([json.dumps(t) for t in poly.seed.texts()], 2)))
+    _write_text(path, chain([head], shells(), ["\n  ]\n}\n" if poly.shells else "[]\n}\n"]))
 
 
-def _write_text(path, text: str) -> None:
-    """Write a text file; an ``OSError`` becomes a ``DomainError`` naming the path."""
+def _write_text(path, text) -> None:
+    """Write a text file, given whole or as an iterable of parts.
+
+    An ``OSError`` becomes a ``DomainError`` naming the path.
+    """
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc

@@ -50,6 +50,7 @@ MAX_TREE_NODES = 1_000_000
 _RAISE_MAX_NODES = "raise max_nodes"
 _LEVEL_OVER_BUDGET = ("weight system level needs {total} children, over the node budget; "
                       + _RAISE_MAX_NODES)
+_OUT_OF_RANGE = "weight system coordinates exceed the exact int64 range"
 
 _TREE_GROUPS = ("H2", "H3", "H4")
 
@@ -242,9 +243,10 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         else:
             children = np.concatenate([frontier[p] - ma[:, None] * U[i] - mb[:, None] * V[i]
                                        for i, p, ma, mb in steps])
+            a, b = children[:, 0::2], children[:, 1::2]
+            if _sign_range(2 * a + b, b) > _MAX_COORD:
+                raise SizeLimitError(_OUT_OF_RANGE)
             bound = int(np.abs(children).max())
-            if bound > _MAX_COORD:
-                raise SizeLimitError("weight system coordinates exceed the exact int64 range")
             if bits is not None and _key_bits(width, bound) is None:
                 # coordinates outgrew the packed keys: rekey everything
                 rekeyed = _row_keys(_unpack_keys(visited, bits, width), None)
@@ -325,18 +327,28 @@ def _listing_order(rows: np.ndarray, adj) -> np.ndarray:
 
 
 # |2a + b| and |b| up to 2**30 keep the squares taken by _signs below 2**63.
-# Seeds are held to that bound (integer coordinates up to 2**29), and points
-# to |a|, |b| <= 2**30, so their children (below 5 * 2**30) and their root
-# coordinates times det (adjugate and det parts are below 8 for H2, H3, H4)
-# stay far inside int64 before they are checked.
+# Seeds and the children of every level built as rows are held to that bound
+# (so |a| <= 2**30 too; integer seed coordinates go up to 2**29), so their
+# children (below 5 * 2**30) and their root coordinates times det (adjugate
+# and det parts are below 8 for H2, H3, H4) stay far inside int64 before
+# they are checked.
 _MAX_COORD = 1 << 30
 
 
+def _sign_range(s: np.ndarray, b: np.ndarray) -> int:
+    """``max(|s|, |b|)`` for int64 arrays ``s = 2a + b`` and ``b``: the
+    magnitudes :func:`_signs` squares."""
+    return max(int(np.abs(s).max(initial=0)), int(np.abs(b).max(initial=0)))
+
+
 def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact elementwise sign (-1, 0, +1) of a + b*tau for int64 arrays."""
+    """Exact elementwise sign (-1, 0, +1) of a + b*tau for int64 arrays.
+
+    Every caller tests points of a weight system or their root coordinates,
+    so an out-of-range input raises the closure's int64-range error."""
     s = 2 * a + b  # a + b*tau = (s + b*sqrt5) / 2
-    if max(np.abs(s).max(initial=0), np.abs(b).max(initial=0)) > _MAX_COORD:
-        raise SizeLimitError("coefficients exceed the exact int64 sign test")
+    if _sign_range(s, b) > _MAX_COORD:
+        raise SizeLimitError(_OUT_OF_RANGE)
     sign_s = np.sign(s)
     sign_b = np.sign(b)
     return np.where(sign_s * sign_b < 0,

@@ -8,8 +8,17 @@ import pytest
 from conftest import random_dominant
 from horbits.errors import DomainError
 from horbits.groups import A1, H2, H3, H4
-from horbits.geometry import embed, export_json, export_obj, nested_polyhedra
+from horbits.geometry import (
+    EDGE_RELTOL,
+    NestedPolyhedra,
+    Shell,
+    embed,
+    export_json,
+    export_obj,
+    nested_polyhedra,
+)
 from horbits.orbits import generate_orbit
+from horbits.weightsys import weight_system_dominants
 
 
 def gram_float(group):
@@ -159,3 +168,131 @@ def test_export_write_failure_has_path_context(tmp_path):
     missing = tmp_path / "nodir" / "x.obj"
     with pytest.raises(DomainError, match="nodir"):
         export_obj(poly, missing)
+
+
+# -- byte identity with the per-point reference --------------------------------
+#
+# The reference builds every shell on its own: one orbit, one ``M @ v`` and one
+# ``float`` per point, a full distance matrix per shell, and files through
+# ``json.dumps`` and a per-coordinate ``%.15g``.
+
+
+def _ref_edges(points):
+    n = len(points)
+    if n < 2:
+        return ()
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    iu = np.triu_indices(n, k=1)
+    pair_d = dist[iu]
+    scale = pair_d.max()
+    nonzero = pair_d > scale * 1e-12
+    dmin = pair_d[nonzero].min()
+    keep = nonzero & (pair_d <= dmin * (1 + EDGE_RELTOL))
+    return tuple((int(i), int(j)) for i, j in zip(iu[0][keep], iu[1][keep]))
+
+
+def _ref_nested_polyhedra(group, seed):
+    embedding = embed(group)
+    shells = []
+    for dominant, _count in weight_system_dominants(group, seed):
+        orbit = generate_orbit(group, dominant)
+        pts = np.array([embedding.cartesian(w) for w in orbit.elements])
+        radius = float(np.sqrt(float(group.inner(dominant, dominant))))
+        edges = _ref_edges(pts) if group.rank <= 3 and len(pts) > 1 else ()
+        shells.append(Shell(
+            dominant=dominant,
+            radius=radius,
+            points=tuple(tuple(float(x) for x in p) for p in pts),
+            points_exact=orbit.elements,
+            edges=edges,
+        ))
+    shells.sort(key=lambda s: -s.radius)
+    return NestedPolyhedra(group, seed, tuple(shells))
+
+
+def _ref_fmt(x):
+    return f"{x:.15g}"
+
+
+def _ref_export_obj(poly, path):
+    rank = poly.group.rank
+    lines = [f"# nested orbits of {poly.group.tag}, seed ({poly.seed.text()})"]
+    offset = 0
+    for index, shell in enumerate(poly.shells):
+        lines.append(f"g shell{index}")
+        for p in shell.points:
+            coords = list(p) + [0.0] * (3 - rank)
+            lines.append("v " + " ".join(_ref_fmt(c) for c in coords))
+        for i, j in shell.edges:
+            lines.append(f"l {offset + i + 1} {offset + j + 1}")
+        offset += len(shell.points)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _ref_export_json(poly, path):
+    payload = {
+        "group": poly.group.tag,
+        "seed": list(poly.seed.texts()),
+        "shells": [
+            {
+                "dominant": list(s.dominant.texts()),
+                "radius": s.radius,
+                "points_exact": [list(w.texts()) for w in s.points_exact],
+                "points": [[float(x) for x in p] for p in s.points],
+                "edges": [list(e) for e in s.edges],
+            }
+            for s in poly.shells
+        ],
+    }
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _assert_same_files(poly, ref, tmp_path):
+    writers = [(export_json, _ref_export_json, "json")]
+    if poly.group.rank <= 3:
+        writers.append((export_obj, _ref_export_obj, "obj"))
+    for write, ref_write, suffix in writers:
+        write(poly, tmp_path / f"new.{suffix}")
+        ref_write(ref, tmp_path / f"ref.{suffix}")
+        assert (tmp_path / f"new.{suffix}").read_bytes() == (tmp_path / f"ref.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("group, text", [
+    (H2, "3,5"),
+    (H3, "1,0,0"), (H3, "0,0,1"), (H3, "2,2,0"), (H3, "3,1,0"), (H3, "2,1t,1"),
+    (H4, "0,0,0,1"), (H4, "1,0,0,1"),
+    # coordinates past the packed keys: the orbit search keys raw row bytes
+    (H4, "110000001+110000000t,0,0,0"),
+], ids=lambda v: getattr(v, "tag", v))
+def test_nested_polyhedra_match_the_per_point_reference(group, text, tmp_path):
+    seed = group.parse_weight(text)
+    poly = nested_polyhedra(group, seed)
+    ref = _ref_nested_polyhedra(group, seed)
+    assert len(poly.shells) == len(ref.shells)
+    for shell, want in zip(poly.shells, ref.shells):
+        assert shell.dominant == want.dominant
+        assert shell.radius == want.radius
+        assert shell.points_exact == want.points_exact
+        assert shell.edges == want.edges
+        # bit for bit: repr tells 0.0 from -0.0 and shows every digit
+        assert repr(shell.points) == repr(want.points)
+    _assert_same_files(poly, ref, tmp_path)
+
+
+def test_export_keeps_signed_zeros_apart(tmp_path):
+    # 0.0 == -0.0 as dict keys; each must keep its own text in both formats
+    points_exact = tuple(H3.parse_weight(t) for t in ("0,0,1", "0,0,-1", "1,0,0"))
+    shell = Shell(
+        dominant=points_exact[0],
+        radius=1.5,
+        points=((0.0, -0.0, 1.5), (-0.0, 0.0, -1.5), (-0.0, -0.0, 0.0)),
+        points_exact=points_exact,
+        edges=((0, 1), (1, 2)),
+    )
+    poly = NestedPolyhedra(H3, points_exact[0], (shell,))
+    _assert_same_files(poly, poly, tmp_path)
+    obj = (tmp_path / "new.obj").read_text().splitlines()
+    assert obj[2:5] == ["v 0 -0 1.5", "v -0 0 -1.5", "v -0 -0 0"]
+    assert json.loads((tmp_path / "new.json").read_text())["shells"][0]["points"][2] == [-0.0, -0.0, 0.0]
+    assert "-0.0,\n          -0.0,\n          0.0\n" in (tmp_path / "new.json").read_text()

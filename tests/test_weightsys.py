@@ -443,6 +443,17 @@ def test_tree_and_dominants_share_the_int64_guard():
     assert str(tree_error.value) == str(dominants_error.value)
 
 
+@pytest.mark.parametrize("text", ["268435456+268435457t,0,0", "0,200000001+200000000t,0"])
+def test_closure_int64_guard_names_the_coordinates(text):
+    # both seeds pass the seed check; their children (and in dominants mode
+    # the seed's root coordinates) are past the sign test's |2a + b|, |b| bound
+    seed = H3.parse_weight(text)
+    for call in (weight_system_dominants, build_tree):
+        with pytest.raises(SizeLimitError) as error:
+            call(H3, seed, max_nodes=10_000)
+        assert str(error.value) == "weight system coordinates exceed the exact int64 range"
+
+
 def test_seed_guard_matches_the_sign_test_bound():
     # the sign test bounds |2a + b| and |b| by 2**30: an integer coordinate of
     # 2**29 + 1 is past it, and the seed check must say so before any level
