@@ -254,9 +254,9 @@ def _cmd_lower_orbits(args) -> int:
         tree = build_tree(group, seed, max_nodes=max_nodes)
         dominants = tree.lower_dominants
         if args.dot:
-            _write_text(args.dot, tree_to_dot(tree))
+            _write_text(args.dot, [tree_to_dot(tree)])
         if args.json_path:
-            _write_text(args.json_path, tree_to_json(tree))
+            _write_text(args.json_path, [tree_to_json(tree)])
     else:
         dominants = weight_system_dominants(group, seed, max_nodes=max_nodes)
     for w, count in dominants:

@@ -22,9 +22,7 @@ from .groups import Group, Weight, _flatten, _unflatten
 from .weightsys import (
     MAX_TREE_NODES,
     _json_list,
-    _key_bits,
-    _missing,
-    _row_keys,
+    _new_rows,
     _step_matrices,
     weight_system_dominants,
 )
@@ -77,7 +75,7 @@ class NestedPolyhedra:
     shells: tuple[Shell, ...]
 
 
-def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:
     """The orbits of dominant flat rows as one int64 array, and their sizes.
 
     Each orbit is in the element order of
@@ -85,50 +83,44 @@ def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, np.ndarray]:
     All orbits are searched together, one vectorized level at a time: a
     simple reflection fixes an orbit point or moves it one level up or
     down, so a level's new points are its images minus the level before.
+    For a few shells the per-orbit search of ``generate_orbit`` is faster;
+    this one pays off on the tens to thousands of shells of larger seeds.
     """
-    width = 2 * group.rank
     # column 0 numbers the orbit, and no reflection changes it
     U, V = (np.pad(M, ((0, 0), (1, 0))) for M in _step_matrices(group))
     level = np.array([(k, *flat) for k, flat in enumerate(flats)], dtype=np.int64)
     levels = [level]
     previous = level[:0]
-    while True:
+    while len(level):
         images = []
         for i in range(group.rank):
             a, b = level[:, 1 + 2 * i], level[:, 2 + 2 * i]
             moved = (a != 0) | (b != 0)
             images.append(level[moved] - a[moved, None] * U[i] - b[moved, None] * V[i])
         images = np.concatenate(images)
-        # orbits are disjoint, so a point's coordinates alone are its key
-        bits = _key_bits(width, max(int(np.abs(rows[:, 1:]).max(initial=0))
-                                    for rows in (images, previous)))
-        keys, first = np.unique(_row_keys(images[:, 1:], bits), return_index=True)
-        known = np.sort(_row_keys(previous[:, 1:], bits))
-        new = _missing(known, keys, np.searchsorted(known, keys))
-        if not new.any():
-            break
-        previous, level = level, images[first[new]]
+        # orbits are disjoint, so a point's coordinates alone identify it
+        previous, level = level, images[_new_rows(images[:, 1:], previous[:, 1:])]
         levels.append(level)
     rows = np.concatenate(levels)
     # generate_orbit's order: _element_sort_key per orbit, in the same float steps
     a, b = rows[:, 1::2], rows[:, 2::2]
     descending = -(a + b * 1.618033988749895)
     order = np.lexsort((*rows[:, :0:-1].T, *descending[:, ::-1].T, rows[:, 0]))
-    return rows[order, 1:], np.bincount(rows[:, 0], minlength=len(levels[0]))
+    return rows[order, 1:], np.bincount(rows[:, 0], minlength=len(flats)).tolist()
 
 
-def _shell_edges(points: np.ndarray, sizes: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
-    """Point-index pairs at the minimal nonzero distance, per shell.
+def _shell_edges(points: np.ndarray, sizes: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """Point-index pairs at the minimal nonzero pairwise distance, per shell.
 
     ``points`` stacks the shells, of ``sizes`` points each.  Shells of one
-    size are measured together, a bounded batch at a time; a pair's
-    distance is the float expression of a per-shell distance matrix, the
-    root of the squared coordinate differences summed in coordinate order.
+    size are measured together, at most ``_EDGE_BATCH`` coordinate
+    differences at a time, with the float steps of one distance matrix
+    per shell.
     """
     starts = np.cumsum(sizes) - sizes
     edges = [()] * len(sizes)
-    for n in sorted(set(sizes.tolist()) - {0, 1}):
-        shells = np.flatnonzero(sizes == n)
+    for n in set(sizes) - {0, 1}:
+        shells = np.flatnonzero(np.equal(sizes, n))
         first, second = np.triu_indices(n, k=1)
         batch = max(1, _EDGE_BATCH // (len(first) * points.shape[1]))
         for chunk in np.split(shells, range(batch, len(shells), batch)):
@@ -136,15 +128,13 @@ def _shell_edges(points: np.ndarray, sizes: np.ndarray) -> list[tuple[tuple[int,
             diff = np.take(stacked, first, axis=1)
             diff -= np.take(stacked, second, axis=1)
             diff *= diff
-            squared = diff[..., 0]
-            for c in range(1, points.shape[1]):
-                squared = squared + diff[..., c]
-            dist = np.sqrt(squared)
-            nonzero = dist > dist.max(axis=1, keepdims=True) * 1e-12
-            dmin = np.where(nonzero, dist, np.inf).min(axis=1, keepdims=True)
-            shell, pair = np.nonzero(nonzero & (dist <= dmin * (1 + EDGE_RELTOL)))
-            bounds = np.searchsorted(shell, np.arange(len(chunk) + 1)).tolist()
+            # the additions of diff.sum(axis=-1), without its slow reduction over a short axis
+            pair_d = np.sqrt(sum(diff[..., c] for c in range(points.shape[1])))
+            nonzero = pair_d > pair_d.max(axis=1, keepdims=True) * 1e-12
+            dmin = np.where(nonzero, pair_d, np.inf).min(axis=1, keepdims=True)
+            shell, pair = np.nonzero(nonzero & (pair_d <= dmin * (1 + EDGE_RELTOL)))
             ends = list(zip(first[pair].tolist(), second[pair].tolist()))
+            bounds = np.searchsorted(shell, np.arange(len(chunk) + 1)).tolist()
             for k, index in enumerate(chunk.tolist()):
                 edges[index] = tuple(ends[bounds[k]:bounds[k + 1]])
     return edges
@@ -178,7 +168,7 @@ def nested_polyhedra(group: Group, seed: Weight,
     edges = _shell_edges(cartesian, sizes) if group.rank <= 3 else [()] * len(sizes)
     shells = []
     start = 0
-    for dominant, size, shell_edges in zip(dominants, sizes.tolist(), edges):
+    for dominant, size, shell_edges in zip(dominants, sizes, edges):
         end = start + size
         shells.append(Shell(
             dominant=dominant,
@@ -264,13 +254,13 @@ def export_json(poly: NestedPolyhedra, path) -> None:
     _write_text(path, chain([head], shells(), ["\n  ]\n}\n" if poly.shells else "[]\n}\n"]))
 
 
-def _write_text(path, text) -> None:
-    """Write a text file, given whole or as an iterable of parts.
+def _write_text(path, parts) -> None:
+    """Write a text file from an iterable of parts.
 
     An ``OSError`` becomes a ``DomainError`` naming the path.
     """
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+            handle.writelines(parts)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc

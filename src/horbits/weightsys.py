@@ -450,6 +450,16 @@ def _unpack_keys(keys: np.ndarray, bits: int | None, width: int) -> np.ndarray:
     return ((keys[:, None] >> _lane_shifts(bits, width)) & ((1 << bits) - 1)) - (1 << (bits - 1))
 
 
+def _new_rows(rows: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct row of ``rows``
+    that is not a row of ``known``, for int64 rows of one width."""
+    bound = max(int(np.abs(r).max(initial=0)) for r in (rows, known))
+    bits = _key_bits(rows.shape[1], bound)
+    keys, first = np.unique(_row_keys(rows, bits), return_index=True)
+    known = np.sort(_row_keys(known, bits))
+    return first[_missing(known, keys, np.searchsorted(known, keys))]
+
+
 # ---------------------------------------------------------------------------
 # closed-form catalogue of lower-orbit dominants for the six H3 seed families
 
