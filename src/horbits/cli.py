@@ -2,7 +2,8 @@
 
 Every command prints deterministically: exact values in the golden-field
 text grammar first, float approximations in parentheses where useful.
-Exit codes: 0 success, 2 usage error, 3 domain error.
+Exit codes: 0 success, 2 usage error, 3 domain error.  Only the verbs that
+run a numpy kernel (``lower-orbits`` and ``export``) import it.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .errors import DomainError
+from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError
 from .golden import parse_golden
 from .groups import Group, Weight, get_group
 from .indices import (
@@ -24,15 +25,6 @@ from .indices import (
     subgroup_rank,
 )
 from .orbits import _by_norm, decompose_product, generate_orbit, orbit_product
-from .weightsys import (
-    MAX_TREE_NODES,
-    _RAISE_MAX_NODES,
-    build_tree,
-    tree_to_dot,
-    tree_to_json,
-    weight_system_dominants,
-)
-from .geometry import _write_text, export_json, export_obj, nested_polyhedra
 
 MAX_LISTED_POINTS = 100_000
 
@@ -247,6 +239,9 @@ def _cmd_embed_index(args) -> int:
 
 
 def _cmd_lower_orbits(args) -> int:
+    from .geometry import _write_text
+    from .weightsys import build_tree, tree_to_dot, tree_to_json, weight_system_dominants
+
     group = get_group(args.group)
     seed = _parse_coords(group, args.coords)
     max_nodes = _max_nodes(args)
@@ -265,6 +260,8 @@ def _cmd_lower_orbits(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .geometry import export_json, export_obj, nested_polyhedra
+
     group = get_group(args.group)
     seed = _parse_coords(group, args.coords)
     poly = nested_polyhedra(group, seed, max_nodes=_max_nodes(args))

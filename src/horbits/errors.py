@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and size guards shared across the package."""
 from __future__ import annotations
 
 __all__ = [
@@ -24,6 +24,12 @@ class NonDominantError(DomainError):
 
 class SizeLimitError(DomainError):
     """A computation would exceed its configured size guard."""
+
+
+# default node guard of the weight-system closure
+MAX_TREE_NODES = 1_000_000
+# ends the message of every node guard; the command line names its flag instead
+_RAISE_MAX_NODES = "raise max_nodes"
 
 
 class MalformedMultisetError(DomainError):

@@ -17,10 +17,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import MAX_TREE_NODES, DomainError
 from .groups import Group, Weight, _flatten, _unflatten
 from .weightsys import (
-    MAX_TREE_NODES,
     _json_list,
     _new_rows,
     _step_matrices,

@@ -17,8 +17,6 @@ from functools import cmp_to_key
 from itertools import islice
 from math import prod
 
-import numpy as np
-
 from .errors import (
     DomainError,
     GroupMismatchError,
@@ -107,10 +105,10 @@ def _norm_order(flats, norms) -> list[int]:
     """
     if not flats:
         return []
-    width = len(flats[0])
-    coords = _pair_ranks([(f[i], f[i + 1]) for f in flats for i in range(0, width, 2)])
-    keys = np.array(coords, dtype=np.int64).reshape(len(flats), width // 2)
-    return np.lexsort((*keys.T[::-1], -np.array(_pair_ranks(norms)))).tolist()
+    half = len(flats[0]) // 2
+    coords = _pair_ranks([(f[i], f[i + 1]) for f in flats for i in range(0, 2 * half, 2)])
+    keys = list(zip([-r for r in _pair_ranks(norms)], *(coords[j::half] for j in range(half))))
+    return sorted(range(len(flats)), key=keys.__getitem__)
 
 
 def _by_norm(group: Group, items) -> list:

@@ -28,7 +28,13 @@ from math import floor
 
 import numpy as np
 
-from .errors import DomainError, NonDominantError, SizeLimitError
+from .errors import (
+    MAX_TREE_NODES,
+    _RAISE_MAX_NODES,
+    DomainError,
+    NonDominantError,
+    SizeLimitError,
+)
 from .golden import GoldenNumber, TAU
 from .groups import Group, Weight, H3, _flatten, _unflatten
 from .orbits import _norm_order
@@ -45,9 +51,6 @@ __all__ = [
     "tree_to_json",
 ]
 
-MAX_TREE_NODES = 1_000_000
-# ends the message of every node guard; the command line names its flag instead
-_RAISE_MAX_NODES = "raise max_nodes"
 _LEVEL_OVER_BUDGET = ("weight system level needs {total} children, over the node budget; "
                       + _RAISE_MAX_NODES)
 _OUT_OF_RANGE = "weight system coordinates exceed the exact int64 range"

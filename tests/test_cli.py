@@ -278,3 +278,78 @@ def test_closed_pipe_exits_without_traceback():
     assert first == b"# orbit H4 1,1,1,1 size=14400\n"
     assert proc.returncode == 1
     assert err == b""
+
+
+# the verbs that compute exactly in pure Python, and must run without numpy
+SCALAR_VERBS = [
+    ["orbit", "H3", "1,1,0"],
+    ["orbit", "H3", "1,0,1t", "--format", "json"],
+    ["orbit", "H3", "1,1,0", "--format", "csv"],
+    ["index", "H3", "1,1,1", "--degree", "4"],
+    ["product", "H3", "1,0,0", "0,0,1"],
+    ["product", "H3", "1,0,0", "0,0,1", "--decompose"],
+    ["anomaly", "H3", "1,1,0", "--degree", "3"],
+    ["branch", "H3", "A2", "2,0,1t"],
+    ["embed-index", "H3", "A2", "--orbit", "1,1,0"],
+]
+
+_FRESH_RUN = """
+import contextlib, io, json, sys
+import horbits
+from horbits.cli import main
+results = [[None, "", "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def test_scalar_verbs_never_import_numpy(capsys, tmp_path):
+    # a fresh interpreter: this test process has imported numpy already
+    numpy_verbs = [["lower-orbits", "H3", "3,1,0"],
+                   ["export", "H3", "2,2,0", "--nested", "--format", "obj",
+                    "--out", str(tmp_path / "n.obj")]]
+    env = dict(os.environ, PYTHONPATH=str(Path(horbits.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN,
+                           json.dumps(SCALAR_VERBS + numpy_verbs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (_, _, after_import), *results = json.loads(proc.stdout)
+    assert not after_import
+    for argv, (code, out, numpy_loaded) in zip(SCALAR_VERBS + numpy_verbs, results):
+        assert (code, out) == run(capsys, *argv)[:2], argv
+        if argv in SCALAR_VERBS:
+            assert not numpy_loaded, argv
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from horbits import *", namespace)
+    namespace.pop("__builtins__")
+    expected = {
+        "A1", "A2", "BranchLayer", "BranchingRule", "CartesianEmbedding",
+        "Decomposition", "DomainError", "GROUPS", "GoldenNumber", "Group",
+        "GroupMismatchError", "H2", "H3", "H4", "IndexValue",
+        "MalformedMultisetError", "NestedPolyhedra", "NonDominantError", "ONE",
+        "Orbit", "Shell", "SizeLimitError", "SubtractionEdge", "SubtractionNode",
+        "SubtractionTree", "TAU", "TAU_PRIME", "Weight", "WeightMultiset", "ZERO",
+        "anomaly_number", "anomaly_number_normalized", "axis_directions",
+        "branch_decompose", "branch_layers", "branching_rule", "build_tree",
+        "closed_form_lower_orbits", "decompose", "decompose_product",
+        "default_direction", "direct_product_index", "embed", "embedding_index",
+        "embedding_index_by_rank", "errors", "even_index", "export_json",
+        "export_obj", "generate_orbit", "geometry", "get_group", "golden",
+        "groups", "indices", "multiset_even_index", "nested_polyhedra",
+        "orbit_product", "orbit_sum", "orbits", "parse_golden", "subgroup_rank",
+        "subtraction_children", "tree_to_dot", "tree_to_json",
+        "weight_system_dominants", "weightsys",
+    }
+    assert set(namespace) == expected
+    assert expected <= set(dir(horbits))
+    assert namespace["build_tree"] is horbits.weightsys.build_tree
+    assert horbits.weightsys.MAX_TREE_NODES == horbits.errors.MAX_TREE_NODES
+    with pytest.raises(AttributeError):
+        getattr(horbits, "no_such_name")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import random_dominant
@@ -19,6 +20,8 @@ from horbits.orbits import (
     generate_orbit,
     orbit_product,
     orbit_sum,
+    _norm_order,
+    _pair_ranks,
 )
 
 
@@ -242,6 +245,29 @@ def test_sorted_parts_exact_past_the_value_proxy(n):
     parts = Decomposition(H2, {Weight(H2, (one + c, zero)): 1, Weight(H2, (one, zero)): 2})
     big, less = (one + c, one) if c > 0 else (one, one + c)
     assert [w.coords[0] for w, _ in parts.sorted_parts()] == [big, less]
+
+
+def _lexsort_order(flats, norms):
+    """The rank order as ``np.lexsort`` computed it: the reference for ``_norm_order``."""
+    width = len(flats[0])
+    coords = _pair_ranks([(f[i], f[i + 1]) for f in flats for i in range(0, width, 2)])
+    keys = np.array(coords, dtype=np.int64).reshape(len(flats), width // 2)
+    return np.lexsort((*keys.T[::-1], -np.array(_pair_ranks(norms)))).tolist()
+
+
+@pytest.mark.parametrize("half", [2, 3, 4])
+def test_norm_order_matches_lexsort(rng, half):
+    # few distinct pair values, so coordinates repeat, norms tie and whole
+    # (row, norm) items recur: equal items must keep their input order
+    values = [(a, b) for a in range(-2, 3) for b in range(-1, 2)]
+    for n in (1, 2, 7, 60, 400):
+        pool = [(tuple(x for _ in range(half) for x in rng.choice(values)),
+                 rng.choice(values[:4]))
+                for _ in range(max(1, n // 3))]
+        items = [rng.choice(pool) for _ in range(n)]
+        flats = [row for row, _ in items]
+        norms = [norm for _, norm in items]
+        assert _norm_order(flats, norms) == _lexsort_order(flats, norms)
 
 
 def test_h4_product_small():
