@@ -40,8 +40,9 @@ from .indices import (
 
 __version__ = "0.1.0"
 
-# The two numpy kernels and their public names load on first access (PEP 562):
-# ``import horbits`` and the exact-arithmetic code never import numpy.
+# The two numpy modules and their public names load on first access (PEP 562),
+# and ``multiset_even_index`` imports its norm kernel from ``weightsys`` on its
+# first call: ``import horbits`` and the exact-arithmetic code never import numpy.
 _LAZY = {
     "weightsys": ("SubtractionEdge", "SubtractionNode", "SubtractionTree", "build_tree",
                   "closed_form_lower_orbits", "subtraction_children", "tree_to_dot",

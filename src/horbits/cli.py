@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError
+from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError, _write_text
 from .golden import parse_golden
 from .groups import Group, Weight, get_group
 from .indices import (
@@ -239,7 +239,6 @@ def _cmd_embed_index(args) -> int:
 
 
 def _cmd_lower_orbits(args) -> int:
-    from .geometry import _write_text
     from .weightsys import build_tree, tree_to_dot, tree_to_json, weight_system_dominants
 
     group = get_group(args.group)

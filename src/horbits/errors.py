@@ -1,4 +1,4 @@
-"""Exception types and size guards shared across the package."""
+"""Exception types, size guards and the file writer shared across the package."""
 from __future__ import annotations
 
 __all__ = [
@@ -34,3 +34,15 @@ _RAISE_MAX_NODES = "raise max_nodes"
 
 class MalformedMultisetError(DomainError):
     """A weight multiset is not a union of whole orbits."""
+
+
+def _write_text(path, parts) -> None:
+    """Write a text file from an iterable of parts.
+
+    An ``OSError`` becomes a ``DomainError`` naming the path.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(parts)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc

@@ -17,7 +17,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import MAX_TREE_NODES, DomainError
+from .errors import MAX_TREE_NODES, DomainError, _write_text
 from .groups import Group, Weight, _flatten, _unflatten
 from .weightsys import (
     _json_list,
@@ -251,15 +251,3 @@ def export_json(poly: NestedPolyhedra, path) -> None:
             % (json.dumps(poly.group.tag),
                _json_list([json.dumps(t) for t in poly.seed.texts()], 2)))
     _write_text(path, chain([head], shells(), ["\n  ]\n}\n" if poly.shells else "[]\n}\n"]))
-
-
-def _write_text(path, parts) -> None:
-    """Write a text file from an iterable of parts.
-
-    An ``OSError`` becomes a ``DomainError`` naming the path.
-    """
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(parts)
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}") from exc

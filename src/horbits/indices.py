@@ -83,18 +83,23 @@ def even_index(group: Group, dominant: Weight, p: int) -> IndexValue:
 def multiset_even_index(multiset: WeightMultiset, p: int) -> IndexValue:
     """Brute-force sum of ``<mu,mu>**p`` over a weight multiset, exactly.
 
-    The sum runs in integer pairs ``a + b*tau``: the weights are scaled to
-    one shared denominator ``D``, each distinct ``(det * D**2 * <mu,mu>)**p``
-    is formed once through the integer adjugate of the Cartan matrix, and
-    the total is divided by ``(det * D**2)**p`` once at the end.
+    The sum runs in integer pairs ``a + b*tau`` over the multiset's flat
+    rows (the rows :func:`horbits.orbits.orbit_product` keeps, or the tally
+    scaled to one shared denominator ``D``).  Every ``det * D**2 * <mu,mu>``
+    comes from one call of the vectorized norm kernel of
+    :mod:`horbits.weightsys`, exact past int64, which loads numpy on the
+    first call; each distinct norm is raised to ``p`` once, and the total is
+    divided by ``(det * D**2)**p`` once at the end.
     """
     if p < 0:
         raise DomainError("even index needs p >= 0")
+    from .weightsys import _adj_arrays, _det_norms
+
     group = multiset.group
-    flats, denom = _flatten(multiset.tally)
+    rows, counts, denom = multiset._flat()
     norms = Counter()
-    for flat, count in zip(flats, multiset.tally.values()):
-        norms[group._det_inner_pair(flat, flat)] += count
+    for norm, count in zip(_det_norms(rows, _adj_arrays(group)), counts):
+        norms[norm] += count
     return IndexValue(group._over_det(_power_sum(norms, p), p, denom ** (2 * p)), 2 * p)
 
 
@@ -200,15 +205,6 @@ class BranchingRule:
     child: Group
     projection: tuple[tuple[GoldenNumber, ...], ...]  # child_rank x parent_rank
     direction: Weight | None = None  # layer axis orthogonal to the child
-
-    def project(self, w: Weight) -> Weight:
-        self.parent._own(w)
-        coords = tuple(
-            sum((row[j] * w.coords[j] for j in range(self.parent.rank)),
-                start=ZERO)
-            for row in self.projection
-        )
-        return Weight(self.child, coords)
 
 
 def _make_rules():

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import islice
 from math import prod
+from operator import add
 
 from .errors import (
     DomainError,
@@ -141,20 +142,44 @@ class Orbit:
         return WeightMultiset(self.group, {w: 1 for w in self.elements})
 
 
-@dataclass
 class WeightMultiset:
-    """A tally of weights of one group (weight -> positive count)."""
+    """A tally of weights of one group (weight -> positive count).
 
-    group: Group
-    tally: dict[Weight, int] = field(default_factory=dict)
+    A multiset made by :func:`orbit_product` holds flat integer rows over one
+    shared denominator instead; the first read of ``tally``, or the first
+    :meth:`add`, builds the ``Weight`` tally once and drops the rows.
+    """
+
+    def __init__(self, group: Group, tally: dict[Weight, int] | None = None):
+        self.group = group
+        self._tally = {} if tally is None else tally
+        self._rows: tuple[dict[tuple[int, ...], int], int] | None = None
+
+    @property
+    def tally(self) -> dict[Weight, int]:
+        if self._rows is not None:
+            rows, denom = self._rows
+            self._tally = dict(zip(_unflatten(self.group, rows, denom), rows.values()))
+            self._rows = None
+        return self._tally
+
+    def _flat(self):
+        """``(rows, counts, denom)``: the held rows, or the tally flattened."""
+        if self._rows is not None:
+            rows, denom = self._rows
+            return list(rows), rows.values(), denom
+        flats, denom = _flatten(self._tally)
+        return flats, self._tally.values(), denom
 
     def add(self, w: Weight, count: int = 1):
         if w.group is not self.group:
             raise GroupMismatchError("cannot mix groups in one multiset")
-        self.tally[w] = self.tally.get(w, 0) + count
+        tally = self.tally
+        tally[w] = tally.get(w, 0) + count
 
     def total(self) -> int:
-        return sum(self.tally.values())
+        counts = self._tally if self._rows is None else self._rows[0]
+        return sum(counts.values())
 
     def __eq__(self, other):
         return (
@@ -226,8 +251,10 @@ def orbit_sum(orbits) -> WeightMultiset:
 def orbit_product(orbits, max_points: int = MAX_MATERIALIZED_POINTS) -> WeightMultiset:
     """Materialized multiset of all k-fold sums of orbit elements (k >= 2).
 
-    Only for products small enough to hold in memory; the decomposition of a
-    large product should go through :func:`decompose_product` instead.
+    The sums are tallied as flat integer rows, and the multiset keeps them:
+    no ``Weight`` is built until its ``tally`` is read.  Only for products
+    small enough to hold in memory; the decomposition of a large product
+    should go through :func:`decompose_product` instead.
     """
     orbits = list(orbits)
     if len(orbits) < 2:
@@ -248,11 +275,12 @@ def orbit_product(orbits, max_points: int = MAX_MATERIALIZED_POINTS) -> WeightMu
         nxt: dict[tuple[int, ...], int] = {}
         for w, count in partial.items():
             for v in factor:
-                s = tuple([a + b for a, b in zip(w, v)])
+                s = tuple(map(add, w, v))
                 nxt[s] = nxt.get(s, 0) + count
         partial = nxt
-    weights = _unflatten(group, partial, denom)
-    return WeightMultiset(group, dict(zip(weights, partial.values())))
+    out = WeightMultiset(group)
+    out._rows = partial, denom
+    return out
 
 
 def decompose(multiset: WeightMultiset) -> Decomposition:

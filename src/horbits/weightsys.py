@@ -215,7 +215,7 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
     U, V = _step_matrices(group)
     # |ma| <= |a_i| and |mb| <= |b_i|: children are at most `growth` times their parents
     growth = 1 + int(np.abs(U).max()) + int(np.abs(V).max())
-    adj = tuple(np.moveaxis(np.array(group._adjugate_int, dtype=np.int64), 2, 0))
+    adj = _adj_arrays(group)
     det = (int(group.cartan_det.rat), int(group.cartan_det.tau))
 
     frontier = _int_row(seed)
@@ -319,14 +319,28 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
 
 def _listing_order(rows: np.ndarray, adj) -> np.ndarray:
     """Positions of int64 rows in the order of :func:`horbits.orbits._norm_order`."""
+    return np.array(_norm_order(rows.tolist(), _det_norms(rows, adj)), dtype=np.int64)
+
+
+def _det_norms(rows, adj) -> list[tuple[int, int]]:
+    """``cartan_det * <x,x>`` of each flat integer row ``x``, as exact pairs ``(a, b)``.
+
+    ``rows`` is an int64 array or a sequence of rows of Python ints, and
+    ``adj`` is :func:`_adj_arrays` of their group.
+    """
+    if not isinstance(rows, np.ndarray):
+        try:
+            rows = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            rows = np.array(rows, dtype=object)
+        rows = rows.reshape(-1, 2 * len(adj[0]))
     # |det * <x,x>| <= 8 * rank**2 * max|adj| * max|x|**2; past int64, use Python ints
-    bound = 2 * rows.shape[1] ** 2 * int(np.abs(adj).max()) * int(np.abs(rows).max()) ** 2
+    bound = 2 * rows.shape[1] ** 2 * int(np.abs(adj).max()) * int(np.abs(rows).max(initial=0)) ** 2
     exact = rows.astype(object) if bound >= 1 << 63 else rows
     roots_a, roots_b = _adj_times(exact, adj)
     a, b = exact[:, 0::2], exact[:, 1::2]
-    norms = zip((a * roots_a + b * roots_b).sum(axis=1).tolist(),
-                (a * roots_b + b * roots_a + b * roots_b).sum(axis=1).tolist())
-    return np.array(_norm_order(rows.tolist(), list(norms)), dtype=np.int64)
+    return list(zip((a * roots_a + b * roots_b).sum(axis=1).tolist(),
+                    (a * roots_b + b * roots_a + b * roots_b).sum(axis=1).tolist()))
 
 
 # |2a + b| and |b| up to 2**30 keep the squares taken by _signs below 2**63.
@@ -357,6 +371,12 @@ def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(sign_s * sign_b < 0,
                     sign_s * np.sign(s * s - 5 * b * b),
                     np.sign(sign_s + sign_b))
+
+
+def _adj_arrays(group: Group) -> tuple[np.ndarray, np.ndarray]:
+    """The integer adjugate of the Cartan matrix as the arrays ``(adj_a, adj_b)``
+    of its integer pairs."""
+    return tuple(np.moveaxis(np.array(group._adjugate_int, dtype=np.int64), 2, 0))
 
 
 def _adj_times(rows: np.ndarray, adj) -> tuple[np.ndarray, np.ndarray]:

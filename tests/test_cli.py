@@ -325,6 +325,20 @@ def test_scalar_verbs_never_import_numpy(capsys, tmp_path):
             assert not numpy_loaded, argv
 
 
+def test_lower_orbits_files_do_not_load_geometry(tmp_path):
+    # a fresh interpreter: the tree writer must not pull in the nested-polyhedra module
+    js = tmp_path / "tree.json"
+    script = ("import sys\nfrom horbits.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, 'horbits.geometry' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(horbits.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script,
+                           "lower-orbits", "H3", "3,1,0", "--json", str(js)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr.split() == ["0", "False"], proc.stderr
+    assert json.loads(js.read_text())["seed"] == ["3", "1", "0"]
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from horbits import *", namespace)

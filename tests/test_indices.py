@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_dominant
 from horbits.errors import DomainError, GroupMismatchError, NonDominantError
-from horbits.golden import GoldenNumber, TAU, golden
-from horbits.groups import A1, A2, H2, H3, H4
+from horbits.golden import GoldenNumber, TAU, ZERO, golden
+from horbits.groups import A1, A2, H2, H3, H4, Weight
 from horbits.indices import (
     BranchLayer,
     BranchingRule,
@@ -24,7 +24,14 @@ from horbits.indices import (
     multiset_even_index,
     subgroup_rank,
 )
-from horbits.orbits import Decomposition, _by_norm, generate_orbit, orbit_product, orbit_sum
+from horbits.orbits import (
+    Decomposition,
+    WeightMultiset,
+    _by_norm,
+    generate_orbit,
+    orbit_product,
+    orbit_sum,
+)
 
 
 def idx(orbit, p):
@@ -341,10 +348,20 @@ def _ref_anomalies(group, dominant, direction, degrees):
     return totals
 
 
+def _ref_project(rule, w):
+    rule.parent._own(w)
+    coords = tuple(
+        sum((row[j] * w.coords[j] for j in range(rule.parent.rank)),
+            start=ZERO)
+        for row in rule.projection
+    )
+    return Weight(rule.child, coords)
+
+
 def _ref_branch_layers(group, rule, dominant, direction):
     tally = {}
     for w, height in _ref_heights(group, dominant, direction):
-        child, _ = rule.child.to_dominant(rule.project(w))
+        child, _ = rule.child.to_dominant(_ref_project(rule, w))
         tally[height, child] = tally.get((height, child), 0) + 1
     by_child = _by_norm(rule.child, [(c, (h, n)) for (h, c), n in tally.items()])
     layers = [BranchLayer(h, c, n) for c, (h, n) in by_child]
@@ -355,7 +372,7 @@ def _ref_branch_layers(group, rule, dominant, direction):
 def _ref_branch_decompose(group, rule, dominant):
     out = Decomposition(rule.child)
     for w in generate_orbit(group, dominant).elements:
-        image = rule.project(w)
+        image = _ref_project(rule, w)
         if image.is_dominant:
             out.add(image, 1)
     return out
@@ -459,3 +476,84 @@ def test_branch_decompose_and_embedding_match_fraction_reference(rule, rng):
         ref = _ref_branch_decompose(group, rule, lam)
         assert list(parts.parts.items()) == list(ref.parts.items())
         assert embedding_index(group, rule, lam) == _ref_embedding_index(group, rule, lam)
+
+
+# ---------------------------------------------------------------------------
+# multiset_even_index: row-backed products, hand-built tallies, exact past int64
+
+
+def _assert_multiset_index(multiset):
+    # the index first: the reference reads the tally, which drops held rows
+    values = [multiset_even_index(multiset, p) for p in range(5)]
+    group = multiset.group
+    norms = Counter()
+    for w, count in multiset.tally.items():
+        norms[_ref_inner(group, w, w)] += count
+    for p, value in enumerate(values):
+        ref = golden(0)
+        for norm, count in norms.items():
+            ref = ref + norm ** p * count
+        assert value.degree == 2 * p
+        assert value.value == ref, p
+
+
+def _orbits(group, *coords):
+    return [generate_orbit(group, group.parse_weight(c)) for c in coords]
+
+
+@pytest.mark.parametrize("group,coords", [
+    (H2, ("1,1t", "2,1")),
+    (H3, ("1/2,0,1t", "0,1,0")),
+    (H2, ("1,0", "0,1t", "1,1")),
+    (H3, ("1,0,0", "0,0,1/3", "1,0,0")),
+], ids=["H2x2", "H3x2-half", "H2x3", "H3x3-third"])
+def test_multiset_index_of_orbit_product(group, coords):
+    _assert_multiset_index(orbit_product(_orbits(group, *coords)))
+
+
+@pytest.mark.parametrize("group,coords", [
+    (H2, "2,1+1t"), (H3, "1/2,1t,0"), (H4, "1/2,0,0,0"),
+])
+def test_multiset_index_of_orbit_multiset(group, coords):
+    _assert_multiset_index(generate_orbit(group, group.parse_weight(coords)).multiset())
+
+
+@pytest.mark.parametrize("group", [H2, H3, H4], ids=lambda g: g.tag)
+def test_multiset_index_of_hand_built_tally(group, rng):
+    tally = {}
+    for _ in range(30):
+        w = _random_weight(group, rng)
+        tally[w] = tally.get(w, 0) + rng.randint(1, 4)
+    _assert_multiset_index(WeightMultiset(group, tally))
+
+
+def test_multiset_index_after_add_and_tally_mutation():
+    extra = H3.weight("1/2", "-1/3t", "2+1/5t")
+    added = orbit_product(_orbits(H3, "1,0,0", "0,1t,1"))
+    added.add(extra, 3)
+    added.add(H3.weight(1, 0, 0), 2)
+    _assert_multiset_index(added)
+
+    mutated = orbit_product(_orbits(H3, "1,0,0", "0,1t,1"))
+    total = mutated.total()
+    tally = mutated.tally
+    first, second = list(tally)[:2]
+    tally[first] += 5
+    del tally[second]
+    tally[extra] = 7
+    assert mutated.total() == total + 5 - 1 + 7
+    _assert_multiset_index(mutated)
+
+
+def test_multiset_index_of_empty_multiset():
+    for group in (H2, H3, H4):
+        empty = WeightMultiset(group)
+        assert [multiset_even_index(empty, p).value for p in range(5)] == [golden(0)] * 5
+
+
+@pytest.mark.parametrize("scale", [10 ** 9, 10 ** 20], ids=["int64-rows", "object-rows"])
+def test_multiset_index_exact_past_int64(scale):
+    # 10**9: the rows fit int64 but their norms do not; 10**20: neither does
+    big = generate_orbit(H3, H3.weight(scale, 0, f"{scale}t"))
+    _assert_multiset_index(big.multiset())
+    _assert_multiset_index(orbit_product([big, *_orbits(H3, "1/2,0,0")]))

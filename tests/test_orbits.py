@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,36 @@ def test_streaming_matches_materialized(rng):
             a = generate_orbit(group, random_dominant(group, rng))
             b = generate_orbit(group, random_dominant(group, rng))
             assert decompose_product([a, b]) == decompose(orbit_product([a, b]))
+
+
+def _pairwise_product(orbits):
+    """The product multiset by ``Weight`` addition, one sum at a time."""
+    first, *rest = orbits
+    out = first.multiset()
+    for orbit in rest:
+        nxt = WeightMultiset(out.group)
+        for x, count in out.tally.items():
+            for y in orbit.elements:
+                nxt.add(x + y, count)
+        out = nxt
+    return out
+
+
+def test_row_backed_product_matches_pairwise(rng):
+    cases = [[random_dominant(group, rng, max_coef=2) for _ in range(2)]
+             for group in (H2,) * 6 + (H3,) * 3]
+    cases.append([H3.parse_weight(c) for c in ("1/2,0,1t", "0,1/3,1")])
+    cases.append([H2.parse_weight(c) for c in ("1,0", "0,1t", "1/2,1")])
+    for seeds in cases:
+        orbits = [generate_orbit(w.group, w) for w in seeds]
+        reference = _pairwise_product(orbits)
+        # total() and == read the held rows, then the tally built from them
+        product = orbit_product(orbits)
+        assert product.total() == reference.total() == prod(len(o) for o in orbits)
+        assert product == reference
+        assert reference == orbit_product(orbits)
+        assert orbit_product(orbits).tally == reference.tally
+        assert product != WeightMultiset(product.group)
 
 
 def test_product_rule_matches_materialized():
