@@ -22,7 +22,7 @@ __all__ = [
     "TAU_PRIME",
 ]
 
-_RATIONAL = r"[+-]?\d+(?:/\d+)?"
+_RATIONAL = r"[+-]?\d+(?:/0*[1-9]\d*)?"  # INT or INT/POSINT
 _PURE_RE = re.compile(rf"({_RATIONAL})(t?)\Z")
 _MIXED_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})t\Z")
 
@@ -148,12 +148,6 @@ class GoldenNumber:
         if other is None:
             return NotImplemented
         return self.rat == other.rat and self.tau == other.tau
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __lt__(self, other):
         other = self._coerce(other)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, sqrt
 
 import numpy as np
 
@@ -189,17 +189,37 @@ def _step_matrices(group: Group) -> tuple[np.ndarray, np.ndarray]:
     return U, V
 
 
+def _coord_bound(group: Group, seed: Weight) -> int:
+    """A bound on ``|a|`` and ``|b|`` over the coordinates ``a + b*tau`` of
+    every point the closure of ``seed`` reaches, children included.
+
+    A step ``x -> x - (k/g)*x_i*alpha_i`` ends on the segment ``[x, s_i x]``,
+    so every point lies in the hull of the orbit ``W*seed``; ``k/g`` is
+    rational, so its Galois conjugate lies in the hull of the conjugate orbit,
+    whose Gram matrix is positive definite for H2, H3 and H4.  A coordinate is
+    ``x_i = <x, alpha_i>`` with ``<alpha_i, alpha_i> = 2``, so ``|x_i| <= V =
+    sqrt(2<seed,seed>)`` and ``|conj(x_i)| <= V'`` from the conjugate norm;
+    then ``|b| <= (V + V')/sqrt5`` and ``|a| <= (tau*V' + V/tau)/sqrt5``.  The
+    bound is attained on some seeds, so the floor is raised by one: float
+    rounding, far below one unit here, must never lower it.
+    """
+    norm = group.inner(seed, seed)
+    v, v_conj = (sqrt(max(0.0, 2 * float(n))) for n in (norm, norm.conjugate()))
+    tau = float(TAU)
+    return floor(max(v + v_conj, tau * v_conj + v / tau) / sqrt(5)) + 1
+
+
 def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
     """The closure of a seed under root subtraction, one level at a time.
 
-    A level travels as exact 1-D keys, the rows packed into int64 lanes.
-    The packing is linear, so while a level's children provably fit the
-    lanes their keys are ``key(x) - ma*key(U_i) - mb*key(V_i)``, with no
-    child row built; otherwise the level is built as rows, and once they
-    outgrow the lanes the keys become the raw row bytes.  Sorting the keys
-    deduplicates a level against a global sorted visited array.  Each point
-    is expanded once, so its arrival count is the number of times it is
-    emitted as a child.
+    A level travels as exact 1-D keys, in a format chosen once from
+    :func:`_coord_bound`: when every reachable point fits the int64 lanes,
+    packed rows, and as the packing is linear a child's key is ``key(x) -
+    ma*key(U_i) - mb*key(V_i)``, with no child row built; otherwise each
+    level's children are built as rows, held to the int64 range and keyed by
+    their raw bytes.  Sorting the keys deduplicates a level against a global
+    sorted visited array.  Each point is expanded once, so its arrival count
+    is the number of times it is emitted as a child.
 
     Dominants mode prunes to the positive root cone and tallies the dominant
     points in a sorted key array with a count array.  Tree mode keeps every
@@ -213,14 +233,16 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
     """
     width = 2 * group.rank
     U, V = _step_matrices(group)
-    # |ma| <= |a_i| and |mb| <= |b_i|: children are at most `growth` times their parents
-    growth = 1 + int(np.abs(U).max()) + int(np.abs(V).max())
     adj = _adj_arrays(group)
     det = (int(group.cartan_det.rat), int(group.cartan_det.tau))
 
     frontier = _int_row(seed)
     signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
-    bits = _key_bits(width, int(np.abs(frontier).max()))
+    bits = _key_bits(width, _coord_bound(group, seed))
+    if bits is not None:
+        # key(x) = sum((x_l + offset) << shift_l) is linear in x; int64
+        # wrap-around cancels because every child key is in range
+        key_u, key_v = ((M << _lane_shifts(bits, width)).sum(axis=1) for M in (U, V))
     keys = visited = _row_keys(frontier, bits)
     if tree:
         # the number of each visited key; the rows and the edges of each level
@@ -235,12 +257,7 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
                              det, budget=8 * max_nodes - len(visited))
         if not steps:
             break
-        if bits is not None and _key_bits(width, growth * int(np.abs(frontier).max())) is not None:
-            # key(x) = sum((x_l + offset) << shift_l) is linear in x; int64
-            # wrap-around cancels because every child key is in range
-            shifts = _lane_shifts(bits, width)
-            key_u = (U << shifts).sum(axis=1)
-            key_v = (V << shifts).sum(axis=1)
+        if bits is not None:
             keys = np.concatenate([keys[p] - ma * key_u[i] - mb * key_v[i]
                                    for i, p, ma, mb in steps])
         else:
@@ -249,20 +266,7 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
             a, b = children[:, 0::2], children[:, 1::2]
             if _sign_range(2 * a + b, b) > _MAX_COORD:
                 raise SizeLimitError(_OUT_OF_RANGE)
-            bound = int(np.abs(children).max())
-            if bits is not None and _key_bits(width, bound) is None:
-                # coordinates outgrew the packed keys: rekey everything
-                rekeyed = _row_keys(_unpack_keys(visited, bits, width), None)
-                by_key = np.argsort(rekeyed)
-                visited = rekeyed[by_key]
-                if tree:
-                    ids = ids[by_key]
-                else:
-                    dom_keys = _row_keys(_unpack_keys(dom_keys, bits, width), None)
-                    by_key = np.argsort(dom_keys)
-                    dom_keys, dom_counts = dom_keys[by_key], dom_counts[by_key]
-                bits = None
-            keys = _row_keys(children, bits)
+            keys = _row_keys(children, None)
         if tree:
             root = np.repeat([i for i, *_ in steps], [len(p) for _, p, _, _ in steps])
             parent, ma, mb = (np.concatenate(column) for column in list(zip(*steps))[1:])

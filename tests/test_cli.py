@@ -244,9 +244,10 @@ def test_non_dominant_seed_exits_3(capsys):
 
 
 def test_bad_coords_exit_2(capsys):
-    code, _, err = run(capsys, "orbit", "H2", "x,y")
-    assert code == 2
-    assert "bad coordinates" in err
+    for coords in ("x,y", "1/0,0"):
+        code, _, err = run(capsys, "orbit", "H2", coords)
+        assert code == 2
+        assert "bad coordinates" in err
 
 
 def test_wrong_coordinate_count_exits_3(capsys):

@@ -68,6 +68,11 @@ def test_comparisons():
     assert golden(2) - TAU < TAU - 1
     x = golden(Fraction(1, 2), Fraction(-1, 3))
     assert not x < x
+    # != comes from __eq__, reflected operands and NotImplemented included
+    assert not x != golden(Fraction(1, 2), Fraction(-1, 3)) and x != TAU
+    assert not golden(2) != 2 and not 2 != golden(2) and golden(2) != 3
+    assert not golden(Fraction(1, 2)) != Fraction(1, 2) and Fraction(1, 3) != golden(Fraction(1, 2))
+    assert golden(1) != "1" and "1" != golden(1)
 
 
 def test_float_values():
@@ -79,10 +84,12 @@ def test_float_values():
 def test_text_round_trip_examples():
     for text in ["3", "-1/2t", "1+1t", "0", "1t", "3-2t", "-1/2+1/3t", "-5"]:
         assert str(parse_golden(text)) == text
+    assert parse_golden("2/04") == golden(Fraction(1, 2))
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "t", "1.5", "one", "1+", "1+2", "1txx", "t2", "1 + 2t"]:
+    for bad in ["", "t", "1.5", "one", "1+", "1+2", "1txx", "t2", "1 + 2t",
+                "1/0", "1/0t", "1+1/0t", "0/0"]:
         with pytest.raises(ValueError):
             parse_golden(bad)
 

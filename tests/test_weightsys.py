@@ -267,17 +267,64 @@ def test_fast_dominants_match_tree_tau_and_mixed(group, text):
     assert weight_system_dominants(group, seed) == build_tree(group, seed).lower_dominants
 
 
-def test_fast_dominants_lane_bound_fails_mid_closure():
-    # H4 keys pack 7-bit lanes and a child is at most 5 times as large as its
-    # parent: the seed's level fits the lanes, so its child keys come from key
-    # arithmetic; (1+13t,0,0,0) is reached and expanded later, and its level
-    # cannot promise that, so it is built as rows
-    assert weightsys._key_bits(8, 5 * 12) is not None
-    assert weightsys._key_bits(8, 5 * 13) is None
+def test_fast_dominants_lane_bound_fails_mid_closure(monkeypatch):
+    # H4 keys pack 7-bit lanes; the closure reaches (1+13t,0,0,0) and points
+    # up to 41 in a coordinate part, and the proven bound (51) keeps them all
+    # inside the lanes, so every level takes its child keys from key arithmetic
     seed = H4.parse_weight("0,0,0,12+1t")
+    assert weightsys._key_bits(8, weightsys._coord_bound(H4, seed)) == 7
+    seen = []
+    unpack = weightsys._unpack_keys
+
+    def spy(keys, bits, width):
+        seen.append(bits)
+        return unpack(keys, bits, width)
+
+    monkeypatch.setattr(weightsys, "_unpack_keys", spy)
     fast = weight_system_dominants(H4, seed)
     assert H4.parse_weight("1+13t,0,0,0") in dict(fast)
+    assert seen and set(seen) == {7}
+    seen.clear()
     assert fast == build_tree(H4, seed).lower_dominants
+    assert seen and set(seen) == {7}
+
+
+def _random_mixed_seed(group, rng, span):
+    """A nonzero dominant Z[tau] seed whose coordinates ``a + b*tau`` take
+    parts of either sign in ``-span..span``."""
+    while True:
+        pairs = []
+        for _ in range(group.rank):
+            a, b = rng.randint(-span, span), rng.randint(-span, span)
+            pairs.append((a, b) if _sign_pair(a, b) >= 0 else (0, 0))
+        if any(a or b for a, b in pairs):
+            return group.weight(*(golden(a, b) for a, b in pairs))
+
+
+def _largest_part(tree):
+    return max(abs(part) for w in tree.arrivals for part in _flat(w))
+
+
+def test_coord_bound_holds_on_every_tree_node(rng):
+    # the key format rests on this bound: it must cover every point of the
+    # closure, the children of every level included
+    # (seeds whose closure passes 20,000 points are drawn again)
+    for group, span, count in ((H2, 9, 15), (H3, 3, 15), (H4, 2, 8)):
+        trees = 0
+        while trees < count:
+            seed = _random_mixed_seed(group, rng, span)
+            try:
+                tree = build_tree(group, seed, max_nodes=20_000)
+            except SizeLimitError:
+                continue
+            trees += 1
+            assert _largest_part(tree) <= weightsys._coord_bound(group, seed), seed
+    # on these seeds the proven supremum is an integer the closure reaches,
+    # so only the one unit of float margin lies above it
+    for group, text in ((H2, "1,0"), (H2, "0,3"), (H2, "5+2t,7+2t"), (H3, "0,1+1t,3+3t")):
+        seed = group.parse_weight(text)
+        bound = weightsys._coord_bound(group, seed)
+        assert _largest_part(build_tree(group, seed)) == bound - 1, text
 
 
 def test_fast_dominants_norms_past_int64():
@@ -312,8 +359,8 @@ def test_fast_dominants_node_guard_trips_before_allocation():
 
 
 def test_fast_dominants_exact_keys_past_packing(monkeypatch):
-    # shrink the packed key lanes to 4 bits, so each closure below outgrows
-    # them part way through and has to switch to exact row keys
+    # shrink the packed key lanes to 4 bits, so the coordinate bound of each
+    # seed below misses them and every level is keyed by its rows
     seeds = (H3.weight(0, 4, 0), H3.weight(3, 3, 0), H2.weight(7, "3t"))
     expected = [weight_system_dominants(seed.group, seed) for seed in seeds]
     switched = []
@@ -402,8 +449,9 @@ def test_build_tree_matches_fifo_reference(group, text):
 
 
 def test_build_tree_exact_keys_past_packing(monkeypatch):
-    # 4-bit lanes, as in test_fast_dominants_exact_keys_past_packing: each
-    # tree outgrows the packed keys part way through and is rekeyed by rows
+    # 4-bit lanes, as in test_fast_dominants_exact_keys_past_packing: the
+    # key format is chosen once, so a tree runs on row keys at every level,
+    # or, when its coordinate bound fits the lanes, on packed keys throughout
     switched = []
     unpack = weightsys._unpack_keys
 
@@ -414,10 +462,11 @@ def test_build_tree_exact_keys_past_packing(monkeypatch):
     monkeypatch.setattr(weightsys, "_key_bits",
                         lambda width, bound: 4 if bound < 8 else None)
     monkeypatch.setattr(weightsys, "_unpack_keys", spy)
-    for seed in (H3.weight(0, 4, 0), H3.weight(3, 3, 0), H2.weight(7, "3t")):
+    for seed, bits in ((H3.weight(0, 4, 0), None), (H3.weight(3, 3, 0), None),
+                       (H2.weight(7, "3t"), None), (H3.weight(1, 1, 1), 4)):
         switched.clear()
         _assert_tree_is_fifo(build_tree(seed.group, seed))
-        assert 4 in switched and None in switched, seed
+        assert set(switched) == {bits}, seed
 
 
 @pytest.mark.parametrize("group,text", [
