@@ -13,7 +13,7 @@ import sys
 
 from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError, _write_text
 from .golden import parse_golden
-from .groups import Group, Weight, get_group
+from .groups import Group, Weight, _unflatten, get_group
 from .indices import (
     anomaly_number,
     branch_layers,
@@ -24,7 +24,7 @@ from .indices import (
     even_index,
     subgroup_rank,
 )
-from .orbits import _by_norm, decompose_product, generate_orbit, orbit_product
+from .orbits import _norm_order, decompose_product, generate_orbit, orbit_product
 
 MAX_LISTED_POINTS = 100_000
 
@@ -196,9 +196,12 @@ def _cmd_product(args) -> int:
         for w, mult in parts.sorted_parts():
             print(f"{w.text()} x{mult}")
         return 0
-    multiset = orbit_product(orbits, max_points=MAX_LISTED_POINTS)
-    for w, count in _by_norm(group, multiset.tally.items()):
-        print(f"{w.text()} x{count}")
+    # order the product's flat rows, then build one Weight per printed row
+    rows, counts, denom = orbit_product(orbits, max_points=MAX_LISTED_POINTS)._flat()
+    counts = list(counts)
+    order = _norm_order(rows, [group._det_inner_pair(r, r) for r in rows])
+    for w, k in zip(_unflatten(group, [rows[k] for k in order], denom), order):
+        print(f"{w.text()} x{counts[k]}")
     return 0
 
 

@@ -223,31 +223,29 @@ def export_json(poly: NestedPolyhedra, path) -> None:
     """Write shells with exact omega-coordinates and float Cartesian points.
 
     Byte for byte ``json.dumps(payload, indent=2) + "\n"``, written shell by
-    shell from templates: one quoted text per distinct coordinate object and
-    one float text per distinct float.
+    shell from templates: exact coordinates are quoted as they are (their
+    canonical text has no character that JSON escapes, and each number
+    renders it once), floats with one text per distinct float.
     """
-    exact = [list(chain.from_iterable(map(attrgetter("coords"), s.points_exact)))
-             for s in poly.shells]
-    numbers = {id(c): c for c in chain.from_iterable(exact)}
-    quoted = {key: json.dumps(str(c)) for key, c in numbers.items()}
+    rank = poly.group.rank
     floats = _float_texts(poly.shells, json.dumps)
-    row = _json_list(["%s"] * poly.group.rank, 8)
+    quoted = _json_list(['"%s"'] * rank, 8)
+    row = _json_list(["%s"] * rank, 8)
     edge = _json_list(["%d", "%d"], 8)
 
     def shells():
-        for index, (s, coords, texts) in enumerate(zip(poly.shells, exact, floats)):
+        for index, (s, texts) in enumerate(zip(poly.shells, floats)):
             yield (",\n    " if index else "[\n    ") + (
                 '{\n      "dominant": %s,\n      "radius": %s,\n      "points_exact": %s,'
                 '\n      "points": %s,\n      "edges": %s\n    }'
-                % (_json_list([json.dumps(t) for t in s.dominant.texts()], 6),
+                % (_json_list(['"%s"'] * rank, 6) % s.dominant.coords,
                    json.dumps(s.radius),
-                   _json_list([row] * len(s.points_exact), 6)
-                   % tuple(map(quoted.__getitem__, map(id, coords))),
+                   _json_list([quoted] * len(s.points_exact), 6)
+                   % tuple(chain.from_iterable(map(attrgetter("coords"), s.points_exact))),
                    _json_list([row] * len(s.points), 6) % tuple(texts),
                    _json_list([edge] * len(s.edges), 6)
                    % tuple([k for e in s.edges for k in e])))
 
     head = ('{\n  "group": %s,\n  "seed": %s,\n  "shells": '
-            % (json.dumps(poly.group.tag),
-               _json_list([json.dumps(t) for t in poly.seed.texts()], 2)))
+            % (json.dumps(poly.group.tag), _json_list(['"%s"'] * rank, 2) % poly.seed.coords))
     _write_text(path, chain([head], shells(), ["\n  ]\n}\n" if poly.shells else "[]\n}\n"]))

@@ -37,7 +37,7 @@ _RationalLike = (int, Fraction)
 class GoldenNumber:
     """An element ``q + r*tau`` of Q(tau) with exact rational parts."""
 
-    __slots__ = ("rat", "tau", "_hash")
+    __slots__ = ("rat", "tau", "_hash", "_text")
 
     def __init__(self, rat=0, tau=0):
         # Fractions are immutable: share them rather than copy
@@ -46,6 +46,10 @@ class GoldenNumber:
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenNumber is immutable")
+
+    def __reduce__(self):
+        # the parts alone: copies and unpickled numbers recompute _hash and _text
+        return GoldenNumber, (self.rat, self.tau)
 
     # -- coercion -------------------------------------------------------
 
@@ -205,16 +209,22 @@ class GoldenNumber:
     # -- text form ---------------------------------------------------------
 
     def __str__(self):
-        # string tests only: this runs once per coordinate of every export
-        q, r = self.rat, self.tau
-        if not r:
-            return str(q)
-        text = str(r)
-        if not q:
-            return text + "t"
-        if text[0] != "-":
-            text = "+" + text
-        return f"{q}{text}t"
+        # rendered once: the flat-row helpers share one number per distinct
+        # coordinate, so listings and exports print each distinct value once
+        try:
+            return self._text
+        except AttributeError:
+            q, r = self.rat, self.tau
+            if not r:
+                text = str(q)
+            else:
+                text = str(r)
+                if not q:
+                    text += "t"
+                else:
+                    text = f"{q}{text if text[0] == '-' else '+' + text}t"
+            object.__setattr__(self, "_text", text)
+            return text
 
     def __repr__(self):
         return f"GoldenNumber({self.rat!r}, {self.tau!r})"

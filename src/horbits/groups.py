@@ -263,6 +263,10 @@ class Group:
     def __str__(self):
         return self.tag
 
+    def __reduce__(self):
+        # groups are singletons: weights compare and add by ``group is``
+        return get_group, (self.tag,)
+
     # -- weights ----------------------------------------------------------
 
     def weight(self, *coords) -> Weight:

@@ -657,7 +657,7 @@ def tree_to_dot(tree: SubtractionTree) -> str:
     Nodes are named ``n0, n1, ...`` in first-visit order.  Edge endpoints are
     looked up by object identity; a built tree holds one object per distinct
     weight, so only endpoints held by another, equal object are matched by
-    value.
+    value.  Each edge label is rendered once per multiple object and root.
     """
     lines = ["digraph weight_system {", "  rankdir=TB;", "  node [shape=box];"]
     order = [n.weight for n in tree.nodes if n.first_visit]
@@ -668,6 +668,7 @@ def tree_to_dot(tree: SubtractionTree) -> str:
         style = ' color=gray fontcolor=gray' if count > 1 else ""
         lines.append(f'  {ids[id(w)]} [label="({w.text()})"{style}];')
     by_value = None
+    labels = {}
     for e in tree.edges:
         source = ids.get(id(e.source))
         target = ids.get(id(e.target))
@@ -676,7 +677,11 @@ def tree_to_dot(tree: SubtractionTree) -> str:
                 by_value = {w: f"n{i}" for i, w in enumerate(order)}
             source = source or by_value[e.source]
             target = target or by_value[e.target]
-        lines.append(f'  {source} -> {target} [label="{e.label()}"];')
+        key = id(e.multiple), e.root_index
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = e.label()
+        lines.append(f'  {source} -> {target} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -694,14 +699,17 @@ def tree_to_json(tree: SubtractionTree) -> str:
 
     Byte for byte ``json.dumps(payload, indent=2) + "\n"``, written from
     templates: each distinct weight object's coordinate block is rendered
-    once and shared by all node and edge records that hold it.
+    once and shared by all node and edge records that hold it.  Numbers are
+    quoted as they are: their canonical text (:func:`horbits.golden.parse_golden`)
+    has only the characters ``0-9 + - / t``, none of which JSON escapes.
     """
     blocks: dict[int, str] = {}
+    row = _json_list(['"%s"'] * tree.group.rank, 6)
 
     def coords(w: Weight) -> str:
         block = blocks.get(id(w))
         if block is None:
-            block = blocks[id(w)] = _json_list([json.dumps(t) for t in w.texts()], 6)
+            block = blocks[id(w)] = row % w.coords
         return block
 
     # each record list is joined as soon as it is built, so the records and
@@ -712,9 +720,9 @@ def tree_to_json(tree: SubtractionTree) -> str:
         for n in tree.nodes
     ], 2)
     edges = _json_list([
-        '{\n      "from": %s,\n      "to": %s,\n      "multiple": %s,'
+        '{\n      "from": %s,\n      "to": %s,\n      "multiple": "%s",'
         '\n      "root_index": %d\n    }'
-        % (coords(e.source), coords(e.target), json.dumps(str(e.multiple)), e.root_index)
+        % (coords(e.source), coords(e.target), e.multiple, e.root_index)
         for e in tree.edges
     ], 2)
     dominants = _json_list([
@@ -725,6 +733,6 @@ def tree_to_json(tree: SubtractionTree) -> str:
         '{\n  "group": %s,\n  "seed": %s,\n  "nodes": %s,\n  "edges": %s,'
         '\n  "lower_dominants": %s\n}\n'
         % (json.dumps(tree.group.tag),
-           _json_list([json.dumps(t) for t in tree.seed.texts()], 2),
+           _json_list(['"%s"'] * tree.group.rank, 2) % tree.seed.coords,
            nodes, edges, dominants)
     )

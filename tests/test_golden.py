@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,16 @@ def test_text_round_trip_examples():
     for text in ["3", "-1/2t", "1+1t", "0", "1t", "3-2t", "-1/2+1/3t", "-5"]:
         assert str(parse_golden(text)) == text
     assert parse_golden("2/04") == golden(Fraction(1, 2))
+    rng = random.Random(13)
+    for _ in range(300):
+        x = golden(*(Fraction(rng.randint(-99, 99), rng.randint(1, 30)) * rng.randint(0, 1)
+                     for _ in range(2)))
+        text = str(x)
+        assert str(x) == text and parse_golden(text) == x
+        assert set(text) <= set("0123456789+-/t")
+        with pytest.raises(AttributeError):
+            x._text = "0"
+        assert str(x) == text
 
 
 def test_parse_rejects_garbage():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import tracemalloc
 from dataclasses import replace
@@ -607,7 +609,20 @@ def _hand_built_trees():
         [(seed, 1)],
     )
     lone = SubtractionTree(H2, seed, [SubtractionNode(seed, True)], [], {seed: 0}, [])
-    return [with_edge, lone]
+    # mixed-sign fractional parts in every position, and a rational and a pure-tau multiple
+    seed = H2.weight(golden(Fraction(-7, 3), Fraction(5, 2)), golden(Fraction(11, 4), -2))
+    steps = [golden(Fraction(-2, 5), Fraction(9, 8)), golden(Fraction(-1, 6)),
+             golden(0, Fraction(-4, 9))]
+    points = [seed]
+    for k, m in enumerate(steps):
+        points.append(points[-1] - H2.simple_roots[k % 2].scaled(m))
+    mixed = SubtractionTree(
+        H2, seed, [SubtractionNode(p, True) for p in points],
+        [SubtractionEdge(p, q, m, k % 2 + 1)
+         for k, (p, q, m) in enumerate(zip(points, points[1:], steps))],
+        dict.fromkeys(points, 1), [(points[-1], 2), (seed, 1)],
+    )
+    return [with_edge, lone, mixed]
 
 
 @pytest.mark.parametrize("make", [
@@ -616,10 +631,30 @@ def _hand_built_trees():
     lambda: build_tree(H4, H4.weight(1, 0, 0, 1)),
     lambda: _hand_built_trees()[0],
     lambda: _hand_built_trees()[1],
-], ids=["H2-t1", "H3-2t1", "H4-1001", "hand-edge", "hand-no-edges"])
+    lambda: _hand_built_trees()[2],
+], ids=["H2-t1", "H3-2t1", "H4-1001", "hand-edge", "hand-no-edges", "hand-mixed"])
 def test_json_export_matches_json_dumps(make):
     tree = make()
     assert tree_to_json(tree) == json.dumps(_json_payload(tree), indent=2) + "\n"
+
+
+def test_results_pickle_and_copy():
+    # copies rebuild numbers from their parts and keep the group singletons
+    number = golden(Fraction(-3, 2), Fraction(5, 7))
+    fresh = golden(Fraction(-3, 2), Fraction(5, 7))
+    hash(number)  # caches _hash and _text on one of the two
+    str(number)
+    v, w = H3.weight(1, "1t", 0), H3.weight(0, 1, "1+1t")
+    orbit = generate_orbit(H3, v)
+    lower = build_tree(H3, H3.weight(2, 1, 0)).lower_dominants
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        for x in (number, fresh):
+            y = clone(x)
+            assert y == x and hash(y) == hash(x) and str(y) == "-3/2+5/7t"
+        assert clone(v) == v and clone(v).group is H3
+        assert clone(v) + w == v + w
+        assert clone(orbit) == orbit and clone(orbit).group is H3
+        assert clone(lower) == lower
 
 
 _DOT_NODE = re.compile(r'  (n\d+) \[label="\((.*)\)"( color=gray fontcolor=gray)?\];')
