@@ -199,7 +199,7 @@ def _cmd_product(args) -> int:
     # order the product's flat rows, then build one Weight per printed row
     rows, counts, denom = orbit_product(orbits, max_points=MAX_LISTED_POINTS)._flat()
     counts = list(counts)
-    order = _norm_order(rows, [group._det_inner_pair(r, r) for r in rows])
+    order = _norm_order(rows, [group._det_norm_pair(r) for r in rows])
     for w, k in zip(_unflatten(group, [rows[k] for k in order], denom), order):
         print(f"{w.text()} x{counts[k]}")
     return 0

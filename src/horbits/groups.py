@@ -252,6 +252,10 @@ class Group:
         self._adjugate_int = tuple(
             tuple((int(v.rat), int(v.tau)) for v in row) for row in adj
         )
+        # _det_norm_pair's form: adjugate entries on and (doubled) above the diagonal
+        self._adj_form = tuple((2 * j, 2 * k, (1 + (j < k)) * ca, (1 + (j < k)) * cb)
+                               for j, row in enumerate(self._adjugate_int)
+                               for k, (ca, cb) in enumerate(row) if k >= j and (ca or cb))
         # cartan_det * conj(cartan_det) is the integer field norm N(cartan_det)
         conj = self.cartan_det.conjugate()
         self._det_conj = (int(conj.rat), int(conj.tau))
@@ -330,6 +334,16 @@ class Group:
         ``cartan_det * D**2 * <x,y>``.
         """
         return _pair_dot(fx, self._adj_flat(fy))
+
+    def _det_norm_pair(self, flat) -> tuple[int, int]:
+        """``_det_inner_pair(x, x)``: half the products, as the form is symmetric."""
+        na = nb = 0
+        for j, k, ca, cb in self._adj_form:
+            a, b, c, d = flat[j], flat[j + 1], flat[k], flat[k + 1]
+            bd = b * d  # x_j * x_k = pa + pb*tau, times ca + cb*tau
+            pa, pb = a * c + bd, a * d + b * c + bd
+            na, nb = na + ca * pa + cb * pb, nb + ca * pb + cb * (pa + pb)
+        return na, nb
 
     def _over_det(self, pair, power: int, scale: int) -> GoldenNumber:
         """``(a + b*tau) / (cartan_det**power * scale)`` for an integer pair.

@@ -329,7 +329,7 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
     heights = list(dict.fromkeys(h for h, _ in tally))
     children = list(dict.fromkeys(c for _, c in tally))
     height_rank = dict(zip(heights, _pair_ranks(heights)))
-    by_norm = _norm_order(children, [child._det_inner_pair(c, c) for c in children])
+    by_norm = _norm_order(children, [child._det_norm_pair(c) for c in children])
     child_rank = {children[k]: n for n, k in enumerate(by_norm)}
     order = sorted(tally, key=lambda key: (-height_rank[key[0]], child_rank[key[1]]))
     values = {h: group._over_det(h, 1, denom * denom) for h in heights}

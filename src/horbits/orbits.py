@@ -116,7 +116,7 @@ def _by_norm(group: Group, items) -> list:
     """``(weight, value)`` pairs ordered by :func:`_norm_order` of the weights."""
     items = list(items)
     flats, _ = _flatten([w for w, _ in items])
-    order = _norm_order(flats, [group._det_inner_pair(flat, flat) for flat in flats])
+    order = _norm_order(flats, [group._det_norm_pair(flat) for flat in flats])
     return [items[k] for k in order]
 
 

@@ -54,6 +54,7 @@ __all__ = [
 _LEVEL_OVER_BUDGET = ("weight system level needs {total} children, over the node budget; "
                       + _RAISE_MAX_NODES)
 _OUT_OF_RANGE = "weight system coordinates exceed the exact int64 range"
+_TAU_F = float(TAU)
 
 _TREE_GROUPS = ("H2", "H3", "H4")
 
@@ -108,7 +109,7 @@ def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
     over_budget = (f"{point} has {{total}} subtraction children, "
                    "over the fixed budget of {budget}")
     for i, _, ma, mb in _child_steps(frontier, _signs(frontier[:, 0::2], frontier[:, 1::2]),
-                                     None, None, 8 * MAX_TREE_NODES, over_budget):
+                                     None, 8 * MAX_TREE_NODES, over_budget):
         children = frontier[0] - ma[:, None] * U[i] - mb[:, None] * V[i]
         targets = _unflatten(group, children.tolist(), 1)
         edges += [SubtractionEdge(point, t, GoldenNumber(a, b), i + 1)
@@ -205,21 +206,22 @@ def _coord_bound(group: Group, seed: Weight) -> int:
     """
     norm = group.inner(seed, seed)
     v, v_conj = (sqrt(max(0.0, 2 * float(n))) for n in (norm, norm.conjugate()))
-    tau = float(TAU)
-    return floor(max(v + v_conj, tau * v_conj + v / tau) / sqrt(5)) + 1
+    return floor(max(v + v_conj, _TAU_F * v_conj + v / _TAU_F) / sqrt(5)) + 1
 
 
 def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
     """The closure of a seed under root subtraction, one level at a time.
 
     A level travels as exact 1-D keys, in a format chosen once from
-    :func:`_coord_bound`: when every reachable point fits the int64 lanes,
-    packed rows, and as the packing is linear a child's key is ``key(x) -
-    ma*key(U_i) - mb*key(V_i)``, with no child row built; otherwise each
-    level's children are built as rows, held to the int64 range and keyed by
-    their raw bytes.  Sorting the keys deduplicates a level against a global
-    sorted visited array.  Each point is expanded once, so its arrival count
-    is the number of times it is emitted as a child.
+    :func:`_coord_bound`: when every reachable point fits the ``64 // width``
+    bit lanes, packed rows, and as the packing is linear a child's key is
+    ``key(x) - ma*key(U_i) - mb*key(V_i)``, with no child row built, and the
+    cone test takes float64 root coordinates, exact at those sizes; otherwise
+    each level's children are built as rows, held to the int64 range, keyed
+    by their raw bytes and tested on integer pairs.  Sorting the keys
+    deduplicates a level against a global sorted visited array.  Each point
+    is expanded once, so its arrival count is the number of times it is
+    emitted as a child.
 
     Dominants mode prunes to the positive root cone and tallies the dominant
     points in a sorted key array with a count array.  Tree mode keeps every
@@ -234,15 +236,17 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
     width = 2 * group.rank
     U, V = _step_matrices(group)
     adj = _adj_arrays(group)
-    det = (int(group.cartan_det.rat), int(group.cartan_det.tau))
 
     frontier = _int_row(seed)
     signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
     bits = _key_bits(width, _coord_bound(group, seed))
+    cone = None if tree else (adj, (int(group.cartan_det.rat), int(group.cartan_det.tau)))
     if bits is not None:
         # key(x) = sum((x_l + offset) << shift_l) is linear in x; int64
         # wrap-around cancels because every child key is in range
         key_u, key_v = ((M << _lane_shifts(bits, width)).sum(axis=1) for M in (U, V))
+        if not tree:  # coordinates below 2**15: float64 decides the cone exactly
+            cone = np.array(group.gram, dtype=float)
     keys = visited = _row_keys(frontier, bits)
     if tree:
         # the number of each visited key; the rows and the edges of each level
@@ -253,8 +257,7 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         dom_keys = visited
         dom_counts = np.zeros(1, dtype=np.int64)
     while len(frontier):
-        steps = _child_steps(frontier, signs, None if tree else _adj_times(frontier, adj),
-                             det, budget=8 * max_nodes - len(visited))
+        steps = _child_steps(frontier, signs, cone, budget=8 * max_nodes - len(visited))
         if not steps:
             break
         if bits is not None:
@@ -354,22 +357,35 @@ def _det_norms(rows, adj) -> list[tuple[int, int]]:
 # and det parts are below 8 for H2, H3, H4) stay far inside int64 before
 # they are checked.
 _MAX_COORD = 1 << 30
+# _signs takes float64 when |2a + b| and |b| are below _FLOAT_SIGN (see its
+# proof).  The key regime keeps a child when the float64 r_i - m > -_CONE_EPS,
+# for root coordinate r_i of the parent and multiple m: with parts below B =
+# 2**15, 2**9, 2**7 (H2, H3, H4), det*(r_i - m) has parts below 7B, 14B, 26B,
+# so a nonzero cone value is at least 1.9e-6, and the float error is below
+# 2e-10 (both bounds are computed in the tests).
+_FLOAT_SIGN, _CONE_EPS = 1 << 20, 1e-8
 
 
 def _sign_range(s: np.ndarray, b: np.ndarray) -> int:
-    """``max(|s|, |b|)`` for int64 arrays ``s = 2a + b`` and ``b``: the
-    magnitudes :func:`_signs` squares."""
+    """``max(|s|, |b|)`` for int64 arrays ``s = 2a + b`` and ``b`` (see :func:`_signs`)."""
     return max(int(np.abs(s).max(initial=0)), int(np.abs(b).max(initial=0)))
 
 
 def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact elementwise sign (-1, 0, +1) of a + b*tau for int64 arrays.
 
+    For ``|a|, |b| <= M`` a nonzero ``a + b*tau`` has a nonzero integer norm,
+    so ``|a + b*tau| >= 1/|a + b*tau'| >= 1/(1.62*M)``, while the float64 ``a +
+    b*TAU_F`` errs by under ``6*M*2**-53``: below ``_FLOAT_SIGN`` = 2**20 its
+    sign is exact, and zero gives 0.0.  Past that, the squares decide.
     Every caller tests points of a weight system or their root coordinates,
     so an out-of-range input raises the closure's int64-range error."""
     s = 2 * a + b  # a + b*tau = (s + b*sqrt5) / 2
-    if _sign_range(s, b) > _MAX_COORD:
+    bound = _sign_range(s, b)
+    if bound > _MAX_COORD:
         raise SizeLimitError(_OUT_OF_RANGE)
+    if bound < _FLOAT_SIGN:
+        return np.sign(a + b * _TAU_F)
     sign_s = np.sign(s)
     sign_b = np.sign(b)
     return np.where(sign_s * sign_b < 0,
@@ -400,19 +416,21 @@ def _missing(keys: np.ndarray, probe: np.ndarray, pos: np.ndarray) -> np.ndarray
     return ~found
 
 
-def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det, budget: int,
+def _child_steps(frontier: np.ndarray, signs: np.ndarray, cone, budget: int,
                  over_budget: str = _LEVEL_OVER_BUDGET):
     """Subtraction steps of the frontier rows, as ``(i, parents, ma, mb)`` per root.
 
     The child of ``frontier[parents[k]]`` is that row minus ``(ma[k] +
     mb[k]*tau) * alpha_i``; steps come by root, parent, then multiple.
-    ``signs`` are the signs of the frontier coordinates.  With ``roots``, the
-    integer pairs of their root coordinates times ``det``, only the steps
-    into the positive root cone are kept: subtracting ``m * alpha_i`` lowers
-    only root coordinate ``i``, and a point outside the cone never reaches a
-    dominant point again.  The child count is checked against ``budget``
-    before any step array is allocated; ``over_budget`` is the message, with
-    fields ``total`` and ``budget``.
+    ``signs`` are the signs of the frontier coordinates.  With a ``cone``,
+    only the steps into the positive root cone are kept: subtracting ``m *
+    alpha_i`` lowers only root coordinate ``i``, and a point outside the cone
+    never reaches a dominant point again.  The test is exact: on integer
+    pairs when ``cone`` is ``(adj, (det_a, det_b))`` (:func:`_adj_arrays`,
+    ``cartan_det``), in float64 when it is the float inverse Cartan matrix,
+    for rows of the packed-key regime (see ``_CONE_EPS``).  The child count
+    is checked against ``budget`` before any step array is allocated;
+    ``over_budget`` is the message, with fields ``total`` and ``budget``.
     """
     plans = []
     total = 0
@@ -427,6 +445,10 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det, budget: in
         plans.append((i, rows, fa // g, fb // g, g))
     if total > budget:
         raise SizeLimitError(over_budget.format(total=total, budget=budget))
+    if isinstance(cone, tuple):
+        (ra, rb), (da, db) = _adj_times(frontier, cone[0]), cone[1]
+    elif cone is not None:
+        roots = (frontier[:, 0::2] + frontier[:, 1::2] * _TAU_F) @ cone
     steps = []
     for i, rows, sa, sb, g in plans:
         ends = np.cumsum(g)
@@ -435,10 +457,12 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det, budget: in
         ma = k * sa[reps]
         mb = k * sb[reps]
         parents = rows[reps]
-        if roots is not None:
-            da, db = det
-            inside = _signs(roots[0][parents, i] - (da * ma + db * mb),
-                            roots[1][parents, i] - (da * mb + db * ma + db * mb)) >= 0
+        if cone is not None:
+            if isinstance(cone, tuple):
+                inside = _signs(ra[parents, i] - (da * ma + db * mb),
+                                rb[parents, i] - (da * mb + db * ma + db * mb)) >= 0
+            else:
+                inside = roots[parents, i] - (ma + mb * _TAU_F) > -_CONE_EPS
             if not inside.any():
                 continue
             parents, ma, mb = parents[inside], ma[inside], mb[inside]
@@ -448,7 +472,7 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, det, budget: in
 
 def _key_bits(width: int, bound: int) -> int | None:
     """Lane width that packs rows bounded by ``bound`` into int64 keys, or None."""
-    bits = 63 // width
+    bits = 64 // width
     return bits if bound < 1 << (bits - 1) else None
 
 
@@ -636,15 +660,8 @@ def closed_form_lower_orbits(family: str, a: int) -> set[Weight]:
         raise DomainError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
     if not 1 <= a <= 9:
         raise DomainError("family parameter must be in 1..9")
-    rows = _FAMILIES[key](a)
-    out = set()
-    for row in rows:
-        coords = tuple(
-            v if isinstance(v, GoldenNumber) else GoldenNumber(Fraction(v))
-            for v in row
-        )
-        out.add(Weight(H3, coords))
-    return out
+    return {Weight(H3, tuple(v if isinstance(v, GoldenNumber) else GoldenNumber(Fraction(v))
+                             for v in row)) for row in _FAMILIES[key](a)}
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,16 @@ def test_norm_matches_quadratic_form(group, form):
         assert group.inner(w, w) == form(*coords)
 
 
+@pytest.mark.parametrize("group", list(GROUPS.values()), ids=lambda g: g.tag)
+def test_det_norm_pair_matches_det_inner_pair(group):
+    # the symmetric form behind the listing norms equals the bilinear kernel
+    rng = random.Random(23)
+    for span in (3, 1000, 10**12):
+        for _ in range(300):
+            flat = tuple(rng.randint(-span, span) for _ in range(2 * group.rank))
+            assert group._det_norm_pair(flat) == group._det_inner_pair(flat, flat)
+
+
 def test_inner_worked_value_h2():
     w = H2.weight(1, 0)
     assert H2.inner(w, w) == golden(2) / (golden(3) - TAU)

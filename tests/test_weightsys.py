@@ -1,12 +1,14 @@
 import copy
 import json
 import pickle
+import random
 import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from horbits import weightsys
@@ -270,11 +272,11 @@ def test_fast_dominants_match_tree_tau_and_mixed(group, text):
 
 
 def test_fast_dominants_lane_bound_fails_mid_closure(monkeypatch):
-    # H4 keys pack 7-bit lanes; the closure reaches (1+13t,0,0,0) and points
+    # H4 keys pack 8-bit lanes; the closure reaches (1+13t,0,0,0) and points
     # up to 41 in a coordinate part, and the proven bound (51) keeps them all
     # inside the lanes, so every level takes its child keys from key arithmetic
     seed = H4.parse_weight("0,0,0,12+1t")
-    assert weightsys._key_bits(8, weightsys._coord_bound(H4, seed)) == 7
+    assert weightsys._key_bits(8, weightsys._coord_bound(H4, seed)) == 8
     seen = []
     unpack = weightsys._unpack_keys
 
@@ -285,10 +287,32 @@ def test_fast_dominants_lane_bound_fails_mid_closure(monkeypatch):
     monkeypatch.setattr(weightsys, "_unpack_keys", spy)
     fast = weight_system_dominants(H4, seed)
     assert H4.parse_weight("1+13t,0,0,0") in dict(fast)
-    assert seen and set(seen) == {7}
+    assert seen and set(seen) == {8}
     seen.clear()
     assert fast == build_tree(H4, seed).lower_dominants
-    assert seen and set(seen) == {7}
+    assert seen and set(seen) == {8}
+
+
+def test_wide_lanes_keep_h4_bounds_past_64_on_keys(monkeypatch):
+    # H4 bounds 64..127 fit the 8-bit lanes: the top lane reaches the int64
+    # sign bit, so keys wrap to negative values, which are still distinct
+    seed = H4.parse_weight("0,0,0,6+10t")
+    assert 64 <= weightsys._coord_bound(H4, seed) < 128
+    seen = []
+    unpack = weightsys._unpack_keys
+
+    def spy(keys, bits, width):
+        seen.append((bits, bool(len(keys)) and int(keys.min()) < 0))
+        return unpack(keys, bits, width)
+
+    monkeypatch.setattr(weightsys, "_unpack_keys", spy)
+    fast = weight_system_dominants(H4, seed)
+    assert {bits for bits, _ in seen} == {8} and any(neg for _, neg in seen)
+    assert len(fast) == 33 and fast[0] == (seed, 1)
+    # the same listing from row keys
+    monkeypatch.setattr(weightsys, "_unpack_keys", unpack)
+    monkeypatch.setattr(weightsys, "_key_bits", lambda width, bound: None)
+    assert weight_system_dominants(H4, seed) == fast
 
 
 def _random_mixed_seed(group, rng, span):
@@ -327,6 +351,133 @@ def test_coord_bound_holds_on_every_tree_node(rng):
         seed = group.parse_weight(text)
         bound = weightsys._coord_bound(group, seed)
         assert _largest_part(build_tree(group, seed)) == bound - 1, text
+
+
+# -- float64 sign and cone tests: exactness ------------------------------------
+
+_TAU = (1 + 5 ** 0.5) / 2
+_ULP = 2.0 ** -53  # unit roundoff of float64
+
+
+def _fibonacci_pairs(limit):
+    """``(F(n+1), -F(n))`` and its negative while ``|2a + b| = L(n) < limit``:
+    ``F(n+1) - F(n)*tau = (-1/tau)**n`` is the smallest nonzero ``a + b*tau``
+    of its size, the worst case for the float branch of ``_signs``."""
+    pairs = []
+    a, b = 1, 1
+    while 2 * a - b < limit:
+        pairs += [(a, -b), (-a, b)]
+        a, b = a + b, a
+    return pairs
+
+
+def test_signs_exact_on_both_sides_of_the_float_switch():
+    switch = weightsys._FLOAT_SIGN
+    # a nonzero a + b*tau with |a|, |b| <= M is at least 1/(1.62*M); the float
+    # error is at most 6*M*2**-53, so the switch keeps float signs exact
+    assert 6 * switch * _ULP < 1 / ((1 + 1 / _TAU) * switch)
+    pairs = _fibonacci_pairs(weightsys._MAX_COORD)
+    rng = random.Random(14)
+    for size in (10, 1000, switch // 2, switch, 2 * switch, weightsys._MAX_COORD // 4):
+        for _ in range(100):
+            b = rng.randint(-size, size)
+            pairs.append((round(-b * _TAU) + rng.randint(-2, 2), b))  # near a + b*tau = 0
+            pairs.append((rng.randint(-size, size), b))
+    pairs += [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]
+    ranges = [max(abs(2 * a + b), abs(b)) for a, b in pairs]
+    assert max(ranges) <= weightsys._MAX_COORD
+    small = [p for p, r in zip(pairs, ranges) if r < switch]
+    assert len(small) > 100 and len(pairs) - len(small) > 100
+    # one pair per call takes the branch of its own size; batches take the
+    # branch of their largest pair
+    for a, b in pairs:
+        assert weightsys._signs(np.array([a]), np.array([b])).tolist() == [_sign_pair(a, b)], (a, b)
+    for batch in (small, pairs):
+        a, b = np.array(batch, dtype=np.int64).T
+        assert weightsys._signs(a, b).tolist() == [_sign_pair(*p) for p in batch]
+
+
+def _key_regime_top(group):
+    """The largest coordinate part of the packed-key regime of ``group``."""
+    return (1 << (weightsys._key_bits(2 * group.rank, 0) - 1)) - 1
+
+
+def _boundary_rows(group, rng, top, count):
+    """Rows ``x = s_i(y)`` whose full step on root ``i`` lands on ``y``, where
+    the root coordinate ``i`` of ``y`` is zero or ``±(F(n+1) - F(n)*tau)``:
+    steps with a cone value of zero or next to it."""
+    U, V = weightsys._step_matrices(group)
+    small = _fibonacci_pairs(top // 8)
+    span = max(1, top // 24)
+    rows = []
+    while len(rows) < count:
+        i = rng.randrange(group.rank)
+        coeffs = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(group.rank)]
+        coeffs[i] = rng.choice(small) if rng.random() < 0.5 else (0, 0)
+        y = sum(ca * U[j] + cb * V[j] for j, (ca, cb) in enumerate(coeffs))
+        side = _sign_pair(int(y[2 * i]), int(y[2 * i + 1]))
+        y = -side * y  # coordinate i of y negative, so that of s_i(y) positive
+        x = y - y[2 * i] * U[i] - y[2 * i + 1] * V[i]
+        if side and np.abs(x).max() <= top:
+            rows.append(x.tolist())
+    return rows
+
+
+@pytest.mark.parametrize("group", [H2, H3, H4], ids=lambda g: g.tag)
+def test_float_cone_decisions_match_integer_pairs_at_the_key_bound(group):
+    # full closures stay far below the key regime's bound, so random rows
+    # reach it here: every float64 cone decision must equal the exact
+    # integer-pair one, on and next to the cone boundary too
+    width = 2 * group.rank
+    top = _key_regime_top(group)
+    rng = random.Random(1400 + group.rank)
+    rows = [[rng.randint(-top, top) for _ in range(width)] for _ in range(1500)]
+    for row in rows[::3]:
+        row[rng.randrange(width)] = rng.choice((top, -top))
+    frontier = np.array(rows + _boundary_rows(group, rng, top, 600), dtype=np.int64)
+    assert np.abs(frontier).max() == top
+    signs = weightsys._signs(frontier[:, 0::2], frontier[:, 1::2])
+    adj = weightsys._adj_arrays(group)
+    da, db = det = (int(group.cartan_det.rat), int(group.cartan_det.tau))
+    exact = weightsys._child_steps(frontier, signs, (adj, det), 10**8)
+    fast = weightsys._child_steps(frontier, signs, np.array(group.gram, dtype=float), 10**8)
+    assert ([(i, p.tolist(), ma.tolist(), mb.tolist()) for i, p, ma, mb in fast]
+            == [(i, p.tolist(), ma.tolist(), mb.tolist()) for i, p, ma, mb in exact])
+    # the cone pruned some steps and kept some on its boundary
+    every = weightsys._child_steps(frontier, signs, None, 10**8)
+    assert sum(len(p) for _, p, _, _ in exact) < sum(len(p) for _, p, _, _ in every)
+    ra, rb = weightsys._adj_times(frontier, adj)
+    on_boundary = sum(int(((ra[p, i] == da * ma + db * mb)
+                           & (rb[p, i] == da * mb + db * ma + db * mb)).sum())
+                      for i, p, ma, mb in exact)
+    assert on_boundary > 50
+
+
+@pytest.mark.parametrize("group", [H2, H3, H4], ids=lambda g: g.tag)
+def test_cone_eps_lies_between_float_error_and_smallest_cone_value(group):
+    # In the key regime every part is below B.  det*(r_i - m) = p + q*tau has
+    # |p| <= P*B and |q| <= Q*B, from the adjugate rows and det; its field norm
+    # is a nonzero integer unless it is zero, so a nonzero cone value is at
+    # least 1/((P + Q/tau)*B*|det|).
+    B = _key_regime_top(group) + 1
+    adj = group._adjugate_int
+    da, db = int(group.cartan_det.rat), int(group.cartan_det.tau)
+    P = max(sum(abs(a) + abs(b) for a, b in row) for row in adj) + abs(da) + abs(db)
+    Q = max(sum(abs(b) + abs(a + b) for a, b in row) for row in adj) + abs(db) + abs(da + db)
+    smallest = 1 / ((P + Q / _TAU) * B * abs(float(group.cartan_det)))
+    # The float steps: a + b*TAU_F (error below 6*B*ulp over its three
+    # roundings, for x and for m alike), the product with the float inverse
+    # Cartan matrix (rank terms, column sums G), and one subtraction.
+    gram = np.abs(np.array(group.gram, dtype=float))
+    n, G = group.rank, float(gram.sum(axis=0).max())
+    gamma = n * _ULP / (1 - n * _ULP)
+    e_x = 6 * B * _ULP
+    e_r = G * (e_x * (1 + _ULP) + (1 + _TAU) * B * _ULP
+               + gamma * ((1 + _TAU) * B + e_x) * (1 + _ULP))
+    error = (e_r + e_x) * (1 + _ULP)
+    assert error < weightsys._CONE_EPS < (smallest - error) * (1 - _ULP)
+    # the figures quoted where _CONE_EPS is defined
+    assert smallest >= 1.9e-6 and error < 2e-10
 
 
 def test_fast_dominants_norms_past_int64():
