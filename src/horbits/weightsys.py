@@ -22,9 +22,12 @@ coordinates ascending (:func:`horbits.orbits._norm_order`).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,12 +81,24 @@ class SubtractionEdge:
 
 @dataclass
 class SubtractionTree:
+    """A weight system as node and edge records, first in, first out.
+
+    :func:`build_tree` returns a tree that holds the closure's integer
+    arrays: its ``nodes``, ``edges``, ``lower_dominants`` and ``arrivals``
+    are read-only views whose length is known at once, and whose records
+    (``Weight``, ``SubtractionNode``, ``SubtractionEdge``) are built on the
+    first read of an item and then kept.  :func:`tree_to_json` and
+    :func:`tree_to_dot` write such a tree from its arrays and build no
+    records.  A tree constructed from record lists, such as a
+    ``dataclasses.replace`` copy, is written from its records.
+    """
+
     group: Group
     seed: Weight
-    nodes: list[SubtractionNode]
-    edges: list[SubtractionEdge]
-    arrivals: dict[Weight, int]
-    lower_dominants: list[tuple[Weight, int]]
+    nodes: Sequence[SubtractionNode]
+    edges: Sequence[SubtractionEdge]
+    arrivals: Mapping[Weight, int]
+    lower_dominants: Sequence[tuple[Weight, int]]
 
     def node_weights(self) -> set[Weight]:
         return {n.weight for n in self.nodes if n.first_visit}
@@ -95,6 +110,115 @@ class SubtractionTree:
 
     def dominant_weights(self) -> set[Weight]:
         return {w for w, _ in self.lower_dominants}
+
+
+class _TreeArrays:
+    """A tree as :func:`_closure` returns it in tree mode, and its records.
+
+    Point ``k`` is the ``k``-th point first visited, with flat row
+    ``rows[k]``; edge ``j`` runs from point ``source[j]`` to point
+    ``target[j]`` and is followed by node ``j + 1``.  Each record field is
+    built on its first use and kept; the nodes, edges and arrivals share
+    one ``Weight`` per point.
+    """
+
+    def __init__(self, group: Group, rows, counts, lower, edges):
+        source, target, ma, mb, root, self.first = edges
+        # the narrowest exact types: parts and multiples are within 2**30
+        # (_MAX_COORD), point numbers below len(rows), root indices below 4
+        number = np.min_scalar_type(len(rows))
+        self.group, self.counts, self.lower = group, counts, lower
+        self.rows, self.ma, self.mb = (a.astype(np.int32) for a in (rows, ma, mb))
+        self.source, self.target = source.astype(number), target.astype(number)
+        self.root = root.astype(np.int8)
+
+    def __getstate__(self):
+        # the arrays alone: a copy builds its records again on first use
+        return {key: value for key, value in vars(self).items()
+                if key not in ("weights", *_RECORD_FIELDS)}
+
+    @cached_property
+    def weights(self) -> list[Weight]:
+        return _unflatten(self.group, self.rows.tolist(), 1)
+
+    @cached_property
+    def nodes(self) -> list[SubtractionNode]:
+        weights = self.weights
+        return [SubtractionNode(weights[0], True)] + [
+            SubtractionNode(weights[t], f)
+            for t, f in zip(self.target.tolist(), self.first.tolist())]
+
+    @cached_property
+    def edges(self) -> list[SubtractionEdge]:
+        weights = self.weights
+        ma, mb = self.ma.tolist(), self.mb.tolist()
+        multiples = {pair: GoldenNumber(*pair) for pair in set(zip(ma, mb))}
+        return [SubtractionEdge(weights[s], weights[t], multiples[a, b], i + 1)
+                for s, t, a, b, i in zip(self.source.tolist(), self.target.tolist(),
+                                         ma, mb, self.root.tolist())]
+
+    @cached_property
+    def arrivals(self) -> dict[Weight, int]:
+        return dict(zip(self.weights, self.counts.tolist()))
+
+    @cached_property
+    def lower_dominants(self) -> list[tuple[Weight, int]]:
+        return _dominant_records(self.group, self.rows, self.counts, self.lower)
+
+    def table(self) -> _Table:
+        """The index table of the tree (:func:`_table`), from the arrays alone."""
+        points = _pair_texts(self.rows.reshape(-1, 2)).reshape(-1, self.group.rank)
+        target = self.target.tolist()
+        return _Table(
+            list(zip(*points.T.tolist())),
+            self.counts.tolist(),
+            zip([0, *target], [True, *self.first.tolist()]),
+            zip(self.source.tolist(), target,
+                _pair_texts(np.stack([self.ma, self.mb], axis=1)).tolist(),
+                (self.root + 1).tolist()),
+            zip(self.lower.tolist(), np.maximum(self.counts[self.lower], 1).tolist()),
+        )
+
+
+_RECORD_FIELDS = ("nodes", "edges", "arrivals", "lower_dominants")
+
+
+class _Records:
+    """One record field of a built tree (:class:`_TreeArrays`): its length
+    is known at once, and its records are built on the first read of an item."""
+
+    __slots__ = ("_arrays", "_field", "_length")
+
+    def __init__(self, arrays: _TreeArrays, field: str, length: int):
+        self._arrays, self._field, self._length = arrays, field, length
+
+    def _value(self):
+        return getattr(self._arrays, self._field)
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, key):
+        return self._value()[key]
+
+    def __iter__(self):
+        return iter(self._value())
+
+    def __eq__(self, other):
+        if isinstance(other, _Records):
+            other = other._value()
+        return self._value() == other
+
+    def __repr__(self):
+        return repr(self._value())
+
+
+class _RecordList(_Records, Sequence):
+    __slots__ = ()
+
+
+class _RecordDict(_Records, Mapping):
+    __slots__ = ()
 
 
 def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
@@ -117,7 +241,9 @@ def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
     return edges
 
 
-def _check_seed(group: Group, seed: Weight) -> None:
+def _check_args(group: Group, seed: Weight, max_nodes: int) -> None:
+    if not isinstance(max_nodes, int) or isinstance(max_nodes, bool) or max_nodes < 1:
+        raise DomainError(f"max_nodes must be an int >= 1, got {max_nodes!r}")
     group._own(seed)
     if group.tag not in _TREE_GROUPS:
         raise DomainError(f"weight systems are generated for {_TREE_GROUPS} only")
@@ -143,22 +269,17 @@ def build_tree(group: Group, seed: Weight, max_nodes: int = MAX_TREE_NODES) -> S
 
     Nodes and edges come first in, first out.  The engine and its guards are
     those of :func:`weight_system_dominants`, without the cone pruning;
-    ``max_nodes`` bounds the distinct points.
+    ``max_nodes`` bounds the distinct points.  The tree keeps the closure's
+    arrays and builds its records on first read (:class:`SubtractionTree`).
     """
-    _check_seed(group, seed)
-    rows, arrivals, lower, (source, target, ma, mb, root, first) = \
-        _closure(group, seed, max_nodes, tree=True)
-    # one Weight per distinct point, one GoldenNumber per distinct multiple
-    weights = _unflatten(group, rows.tolist(), 1)
-    target, ma, mb = target.tolist(), ma.tolist(), mb.tolist()
-    multiples = {pair: GoldenNumber(*pair) for pair in set(zip(ma, mb))}
-    edges = [SubtractionEdge(weights[s], weights[t], multiples[a, b], i + 1)
-             for s, t, a, b, i in zip(source.tolist(), target, ma, mb, root.tolist())]
-    nodes = [SubtractionNode(weights[0], True)]
-    nodes += [SubtractionNode(weights[t], f) for t, f in zip(target, first.tolist())]
-    counts = arrivals.tolist()
-    return SubtractionTree(group, seed, nodes, edges, dict(zip(weights, counts)),
-                           [(weights[k], max(1, counts[k])) for k in lower.tolist()])
+    _check_args(group, seed, max_nodes)
+    rows, counts, lower, edges = _closure(group, seed, max_nodes, tree=True)
+    arrays = _TreeArrays(group, rows, counts, lower, edges)
+    n_edges = len(arrays.source)
+    return SubtractionTree(group, seed, _RecordList(arrays, "nodes", n_edges + 1),
+                           _RecordList(arrays, "edges", n_edges),
+                           _RecordDict(arrays, "arrivals", len(rows)),
+                           _RecordList(arrays, "lower_dominants", len(lower)))
 
 
 def weight_system_dominants(group: Group, seed: Weight,
@@ -171,8 +292,14 @@ def weight_system_dominants(group: Group, seed: Weight,
     of one level; both guards, and the int64 range of the coordinates, are
     checked before the arrays are allocated.
     """
-    _check_seed(group, seed)
+    _check_args(group, seed, max_nodes)
     rows, counts, lower, _ = _closure(group, seed, max_nodes, tree=False)
+    return _dominant_records(group, rows, counts, lower)
+
+
+def _dominant_records(group: Group, rows: np.ndarray, counts: np.ndarray,
+                      lower: np.ndarray) -> list[tuple[Weight, int]]:
+    """The lower dominants ``rows[lower]`` with their counts ``max(1, arrivals)``."""
     return list(zip(_unflatten(group, rows[lower].tolist(), 1),
                     np.maximum(counts[lower], 1).tolist()))
 
@@ -668,37 +795,74 @@ def closed_form_lower_orbits(family: str, a: int) -> set[Weight]:
 # export
 
 
+class _Table(NamedTuple):
+    """A tree as a writer reads it, once: points are numbered, and the
+    points first visited come first, in order."""
+
+    points: list[tuple[str, ...]]  # coordinate texts of each point
+    arrivals: list[int]  # arrival count of each point first visited
+    nodes: Iterable[tuple[int, bool]]  # (point, first_visit)
+    edges: Iterable[tuple[int, int, str, int]]  # (source, target, multiple text, root index)
+    dominants: Iterable[tuple[int, int]]  # (point, count)
+
+
+def _pair_texts(pairs: np.ndarray) -> np.ndarray:
+    """The canonical text of ``a + b*tau`` for each int64 row ``(a, b)``, as
+    an object array; each distinct pair is rendered once."""
+    # parts of tree points and multiples are within 2**30 (_MAX_COORD), so
+    # a*2**32 + b is one to one
+    pairs = pairs.astype(np.int64)
+    keys, inverse = np.unique((pairs[:, 0] << 32) + pairs[:, 1], return_inverse=True)
+    inverse = inverse.reshape(-1)
+    at = np.empty(len(keys), dtype=np.int64)
+    at[inverse] = np.arange(len(pairs))  # a pair of each key
+    texts = [str(GoldenNumber(a, b)) for a, b in pairs[at].tolist()]
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _table(tree: SubtractionTree) -> _Table:
+    """The index table of a tree: from its arrays while all its record
+    fields are the views :func:`build_tree` made, else from its records."""
+    views = [getattr(tree, name) for name in _RECORD_FIELDS]
+    arrays = getattr(views[0], "_arrays", None)
+    if all(isinstance(v, _Records) and v._arrays is arrays for v in views):
+        return arrays.table()
+    index: dict[Weight, int] = {}
+    points = []
+
+    def point(w: Weight) -> int:
+        k = index.get(w)
+        if k is None:
+            k = index[w] = len(points)
+            points.append(w.texts())
+        return k
+
+    # a point's first visit precedes its revisits, so the points first
+    # visited are numbered first, in order
+    nodes = [(point(n.weight), n.first_visit) for n in tree.nodes]
+    return _Table(
+        points,
+        [tree.arrivals[n.weight] for n in tree.nodes if n.first_visit],
+        nodes,
+        [(point(e.source), point(e.target), str(e.multiple), e.root_index)
+         for e in tree.edges],
+        [(point(w), c) for w, c in tree.lower_dominants],
+    )
+
+
 def tree_to_dot(tree: SubtractionTree) -> str:
     """DOT rendering: one node per distinct weight, revisited weights in gray.
 
-    Nodes are named ``n0, n1, ...`` in first-visit order.  Edge endpoints are
-    looked up by object identity; a built tree holds one object per distinct
-    weight, so only endpoints held by another, equal object are matched by
-    value.  Each edge label is rendered once per multiple object and root.
+    Nodes are named ``n0, n1, ...`` in first-visit order; edges are labeled
+    ``multiple·α<root index>``.
     """
+    table = _table(tree)
     lines = ["digraph weight_system {", "  rankdir=TB;", "  node [shape=box];"]
-    order = [n.weight for n in tree.nodes if n.first_visit]
-    ids = {id(w): f"n{i}" for i, w in enumerate(order)}
-    arrivals = {id(w): count for w, count in tree.arrivals.items()}
-    for w in order:
-        count = arrivals[id(w)] if id(w) in arrivals else tree.arrivals[w]
-        style = ' color=gray fontcolor=gray' if count > 1 else ""
-        lines.append(f'  {ids[id(w)]} [label="({w.text()})"{style}];')
-    by_value = None
-    labels = {}
-    for e in tree.edges:
-        source = ids.get(id(e.source))
-        target = ids.get(id(e.target))
-        if source is None or target is None:
-            if by_value is None:
-                by_value = {w: f"n{i}" for i, w in enumerate(order)}
-            source = source or by_value[e.source]
-            target = target or by_value[e.target]
-        key = id(e.multiple), e.root_index
-        label = labels.get(key)
-        if label is None:
-            label = labels[key] = e.label()
-        lines.append(f'  {source} -> {target} [label="{label}"];')
+    lines += [f'  n{k} [label="({",".join(texts)})"'
+              f'{" color=gray fontcolor=gray" if count > 1 else ""}];'
+              for k, (texts, count) in enumerate(zip(table.points, table.arrivals))]
+    lines += [f'  n{source} -> n{target} [label="{multiple}·α{root}"];'
+              for source, target, multiple, root in table.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -715,36 +879,30 @@ def tree_to_json(tree: SubtractionTree) -> str:
     """JSON of the tree: group, seed, node and edge records, lower dominants.
 
     Byte for byte ``json.dumps(payload, indent=2) + "\n"``, written from
-    templates: each distinct weight object's coordinate block is rendered
-    once and shared by all node and edge records that hold it.  Numbers are
-    quoted as they are: their canonical text (:func:`horbits.golden.parse_golden`)
-    has only the characters ``0-9 + - / t``, none of which JSON escapes.
+    templates: each point's coordinate block is rendered once and shared by
+    all node and edge records that hold it.  Numbers are quoted as they are:
+    their canonical text (:func:`horbits.golden.parse_golden`) has only the
+    characters ``0-9 + - / t``, none of which JSON escapes.
     """
-    blocks: dict[int, str] = {}
-    row = _json_list(['"%s"'] * tree.group.rank, 6)
-
-    def coords(w: Weight) -> str:
-        block = blocks.get(id(w))
-        if block is None:
-            block = blocks[id(w)] = row % w.coords
-        return block
-
+    table = _table(tree)
+    # _json_list of the quoted texts, six spaces deep
+    blocks = ['[\n        "' + '",\n        "'.join(texts) + '"\n      ]'
+              for texts in table.points]
     # each record list is joined as soon as it is built, so the records and
     # the finished text are never held at once
     nodes = _json_list([
-        '{\n      "coords": %s,\n      "first_visit": %s\n    }'
-        % (coords(n.weight), "true" if n.first_visit else "false")
-        for n in tree.nodes
+        f'{{\n      "coords": {blocks[k]},'
+        f'\n      "first_visit": {"true" if first else "false"}\n    }}'
+        for k, first in table.nodes
     ], 2)
     edges = _json_list([
-        '{\n      "from": %s,\n      "to": %s,\n      "multiple": "%s",'
-        '\n      "root_index": %d\n    }'
-        % (coords(e.source), coords(e.target), e.multiple, e.root_index)
-        for e in tree.edges
+        f'{{\n      "from": {blocks[source]},\n      "to": {blocks[target]},'
+        f'\n      "multiple": "{multiple}",\n      "root_index": {root}\n    }}'
+        for source, target, multiple, root in table.edges
     ], 2)
     dominants = _json_list([
-        '{\n      "coords": %s,\n      "count": %d\n    }' % (coords(w), c)
-        for w, c in tree.lower_dominants
+        f'{{\n      "coords": {blocks[k]},\n      "count": {count}\n    }}'
+        for k, count in table.dominants
     ], 2)
     return (
         '{\n  "group": %s,\n  "seed": %s,\n  "nodes": %s,\n  "edges": %s,'

@@ -13,6 +13,7 @@ import pytest
 
 from horbits import weightsys
 from horbits.errors import DomainError, NonDominantError, SizeLimitError
+from horbits.geometry import nested_polyhedra
 from horbits.golden import TAU, _sign_pair, golden
 from horbits.groups import A2, H2, H3, H4, Weight
 from horbits.orbits import _norm_order, generate_orbit
@@ -241,6 +242,16 @@ def test_build_tree_guards():
         build_tree(A2, A2.weight(1, 0))
     with pytest.raises(SizeLimitError):
         build_tree(H3, H3.weight(2, 2, 2), max_nodes=50)
+
+
+@pytest.mark.parametrize("call", [build_tree, weight_system_dominants, nested_polyhedra])
+@pytest.mark.parametrize("bad", [0, -5, True, False, 2.5, "10", None])
+def test_max_nodes_must_be_a_positive_int(call, bad):
+    # refused as an argument before the closure runs, not as a node budget
+    with pytest.raises(DomainError, match=r"^max_nodes must be an int >= 1, got ") as info:
+        call(H3, H3.weight(1, 0, 0), max_nodes=bad)
+    assert not isinstance(info.value, SizeLimitError)
+    assert repr(bad) in str(info.value)
 
 
 def test_h4_tree_small_seed():
@@ -601,6 +612,52 @@ def test_build_tree_matches_fifo_reference(group, text):
     _assert_tree_is_fifo(build_tree(group, group.parse_weight(text)))
 
 
+def test_writing_a_built_tree_builds_no_records(monkeypatch):
+    built = []
+    for record in (SubtractionEdge, SubtractionNode):
+        init = record.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(record, "__init__", counted)
+    tree = build_tree(H4, H4.weight(1, 0, 0, 1))
+    assert (len(tree.nodes), len(tree.edges)) == (13465, 13464)
+    tree_to_json(tree)
+    tree_to_dot(tree)
+    assert built == []
+    # read on demand, each record is built once, and the records are the FIFO tree
+    edges, nodes = list(tree.edges), list(tree.nodes)
+    assert list(tree.edges)[5] is edges[5] and tree.nodes[-1] is nodes[-1]
+    assert (built.count(SubtractionEdge), built.count(SubtractionNode)) == (13464, 13465)
+    _assert_tree_is_fifo(tree)
+
+
+@pytest.mark.parametrize("group,text", FIFO_SEEDS)
+def test_record_table_matches_array_table(group, text):
+    # the writers' table comes from the closure arrays for a built tree and
+    # from the records for a tree made of them; both must write the same bytes
+    t = build_tree(group, group.parse_weight(text))
+    as_json, as_dot = tree_to_json(t), tree_to_dot(t)
+    rebuilt = SubtractionTree(group, t.seed, list(t.nodes), list(t.edges), dict(t.arrivals),
+                              list(t.lower_dominants))
+    assert tree_to_json(rebuilt) == as_json
+    assert tree_to_dot(rebuilt) == as_dot
+    assert rebuilt == t and t == rebuilt
+
+
+def test_built_tree_keeps_parts_near_the_int64_guard_exact():
+    # a built tree keeps its rows as int32, exact for parts up to 2**30
+    seed = H3.weight("536870911+1t", 0, 0)
+    t = build_tree(H3, seed)
+    _assert_tree_is_fifo(t)
+    assert max(abs(c.rat) for w in t.node_weights() for c in w.coords) == 536870911
+    rebuilt = SubtractionTree(H3, seed, list(t.nodes), list(t.edges), dict(t.arrivals),
+                              list(t.lower_dominants))
+    assert (tree_to_json(rebuilt), tree_to_dot(rebuilt)) == (tree_to_json(t), tree_to_dot(t))
+
+
 def test_build_tree_exact_keys_past_packing(monkeypatch):
     # 4-bit lanes, as in test_fast_dominants_exact_keys_past_packing: the
     # key format is chosen once, so a tree runs on row keys at every level,
@@ -798,7 +855,18 @@ def test_results_pickle_and_copy():
     v, w = H3.weight(1, "1t", 0), H3.weight(0, 1, "1+1t")
     orbit = generate_orbit(H3, v)
     lower = build_tree(H3, H3.weight(2, 1, 0)).lower_dominants
+    written = build_tree(H3, H3.weight(2, 1, 0))
+    texts = tree_to_json(written), tree_to_dot(written)
     for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        # whole built trees, before their records are read and after
+        for read in (False, True):
+            tree = build_tree(H3, H3.weight(2, 1, 0))
+            if read:
+                _assert_tree_is_fifo(tree)
+            y = clone(tree)
+            assert (tree_to_json(y), tree_to_dot(y)) == texts
+            assert y == tree and y.group is H3
+            _assert_tree_is_fifo(y)
         for x in (number, fresh):
             y = clone(x)
             assert y == x and hash(y) == hash(x) and str(y) == "-3/2+5/7t"
