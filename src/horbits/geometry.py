@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import MAX_TREE_NODES, DomainError, _write_text
 from .groups import Group, Weight, _flatten, _unflatten
+from .orbits import _pair_ranks
 from .weightsys import (
+    _distinct_pairs,
     _json_list,
     _new_rows,
     _step_matrices,
@@ -78,7 +80,8 @@ def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:
     """The orbits of dominant flat rows as one int64 array, and their sizes.
 
     Each orbit is in the element order of
-    :func:`horbits.orbits.generate_orbit`, and the orbits follow ``flats``.
+    :func:`horbits.orbits.generate_orbit` (coordinates descending, compared
+    exactly), and the orbits follow ``flats``.
     All orbits are searched together, one vectorized level at a time: a
     simple reflection fixes an orbit point or moves it one level up or
     down, so a level's new points are its images minus the level before.
@@ -101,10 +104,10 @@ def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:
         previous, level = level, images[_new_rows(images[:, 1:], previous[:, 1:])]
         levels.append(level)
     rows = np.concatenate(levels)
-    # generate_orbit's order: _element_sort_key per orbit, in the same float steps
-    a, b = rows[:, 1::2], rows[:, 2::2]
-    descending = -(a + b * 1.618033988749895)
-    order = np.lexsort((*rows[:, :0:-1].T, *descending[:, ::-1].T, rows[:, 0]))
+    # generate_orbit's order: exact ranks of the few distinct coordinates, descending
+    distinct, inverse = _distinct_pairs(rows[:, 1:].reshape(-1, 2))
+    codes = -np.array(_pair_ranks(list(map(tuple, distinct.tolist()))))[inverse]
+    order = np.lexsort((*codes.reshape(len(rows), -1)[:, ::-1].T, rows[:, 0]))
     return rows[order, 1:], np.bincount(rows[:, 0], minlength=len(flats)).tolist()
 
 
@@ -143,7 +146,8 @@ def nested_polyhedra(group: Group, seed: Weight,
                      max_nodes: int = MAX_TREE_NODES) -> NestedPolyhedra:
     """One shell per lower-orbit dominant of the seed's weight system.
 
-    Shells are ordered by descending radius.  Minimal-distance edges are
+    Shells follow the exact listing order of :func:`weight_system_dominants`
+    (norm descending, then coordinates).  Minimal-distance edges are
     computed for ranks up to 3 only; rank-4 shells have none (pairwise
     distances over rank-4 orbits are too large to be useful).
     ``max_nodes`` is the size guard of the weight-system closure.
@@ -165,20 +169,14 @@ def nested_polyhedra(group: Group, seed: Weight,
     basis = embed(group).basis_matrix
     cartesian = (basis @ omega.reshape(-1, group.rank, 1))[:, :, 0]
     edges = _shell_edges(cartesian, sizes) if group.rank <= 3 else [()] * len(sizes)
-    shells = []
-    start = 0
-    for dominant, size, shell_edges in zip(dominants, sizes, edges):
-        end = start + size
-        shells.append(Shell(
-            dominant=dominant,
-            radius=float(np.sqrt(float(group.inner(dominant, dominant)))),
-            points=tuple(map(tuple, cartesian[start:end].tolist())),
-            points_exact=tuple(exact[start:end]),
-            edges=shell_edges,
-        ))
-        start = end
-    shells.sort(key=lambda s: -s.radius)
-    return NestedPolyhedra(group, seed, tuple(shells))
+    shells = tuple(Shell(
+        dominant=dominant,
+        radius=float(np.sqrt(float(group.inner(dominant, dominant)))),
+        points=tuple(map(tuple, cartesian[end - size:end].tolist())),
+        points_exact=tuple(exact[end - size:end]),
+        edges=shell_edges,
+    ) for dominant, size, end, shell_edges in zip(dominants, sizes, accumulate(sizes), edges))
+    return NestedPolyhedra(group, seed, shells)
 
 
 def _float_texts(shells, render) -> list[list[str]]:

@@ -30,7 +30,7 @@ from .orbits import (
     Decomposition,
     WeightMultiset,
     _check_orbit_seed,
-    _element_sort_key,
+    _element_order,
     _flat_orbit_size,
     _norm_order,
     _orbit_flats,
@@ -279,7 +279,7 @@ def branch_decompose(group: Group, rule: BranchingRule, dominant: Weight) -> Dec
         image = _project_flat(rows, x)
         if all(_sign_pair(image[i], image[i + 1]) >= 0 for i in range(0, len(image), 2)):
             images[x] = image
-    parts = Counter(images[x] for x in sorted(images, key=_element_sort_key))
+    parts = Counter(images[x] for x in _element_order(images))
     covered = sum(count * _flat_orbit_size(rule.child, image)
                   for image, count in parts.items())
     if covered != len(orbit):

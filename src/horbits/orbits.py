@@ -66,13 +66,6 @@ def _flat_orbit_size(group: Group, flat) -> int:
         [not (flat[i] or flat[i + 1]) for i in range(0, len(flat), 2)])
 
 
-def _element_sort_key(flat):
-    # descending real embedding, exact integer tie-break: deterministic
-    floats = tuple(-(flat[i] + flat[i + 1] * 1.618033988749895)
-                   for i in range(0, len(flat), 2))
-    return floats, flat
-
-
 def _flatten_lists(lists) -> tuple[list[list[tuple[int, ...]]], int]:
     """Flatten several lists of weights over one shared denominator."""
     flats, denom = _flatten([w for weights in lists for w in weights])
@@ -96,6 +89,20 @@ def _pair_ranks(pairs: list[tuple[int, int]]) -> list[int]:
     return [rank[p] for p in pairs]
 
 
+def _coord_ranks(flats) -> list[list[int]]:
+    """:func:`_pair_ranks` of the coordinates of ``flats``, one column each."""
+    half = len(flats[0]) // 2 if flats else 0
+    ranks = _pair_ranks([(f[i], f[i + 1]) for f in flats for i in range(0, 2 * half, 2)])
+    return [ranks[j::half] for j in range(half)]
+
+
+def _element_order(flats) -> list[tuple[int, ...]]:
+    """Distinct flat rows in orbit element order: coordinates descending, compared exactly."""
+    flats = list(flats)
+    # distinct rows have distinct rank tuples, so no two keys tie
+    return [f for _, f in sorted(zip(zip(*_coord_ranks(flats)), flats), reverse=True)]
+
+
 def _norm_order(flats, norms) -> list[int]:
     """Positions of flat rows in listing order, decided by exact comparison.
 
@@ -104,11 +111,7 @@ def _norm_order(flats, norms) -> list[int]:
     ``(a_1, b_1, ..., a_r, b_r)`` over one shared denominator and ``norms``
     their ``cartan_det * <x,x>`` pairs.
     """
-    if not flats:
-        return []
-    half = len(flats[0]) // 2
-    coords = _pair_ranks([(f[i], f[i + 1]) for f in flats for i in range(0, 2 * half, 2)])
-    keys = list(zip([-r for r in _pair_ranks(norms)], *(coords[j::half] for j in range(half))))
+    keys = list(zip([-r for r in _pair_ranks(norms)], *_coord_ranks(flats)))
     return sorted(range(len(flats)), key=keys.__getitem__)
 
 
@@ -229,7 +232,7 @@ def generate_orbit(group: Group, dominant: Weight) -> Orbit:
     _check_orbit_seed(group, dominant)
     flats, denom = _flatten([dominant])
     seen = _orbit_flats(group, flats[0])
-    elements = tuple(_unflatten(group, sorted(seen, key=_element_sort_key), denom))
+    elements = tuple(_unflatten(group, _element_order(seen), denom))
     return Orbit(group, dominant, elements)
 
 

@@ -108,9 +108,6 @@ class SubtractionTree:
         return [n.weight for n in self.nodes
                 if n.first_visit and n.weight not in sources]
 
-    def dominant_weights(self) -> set[Weight]:
-        return {w for w, _ in self.lower_dominants}
-
 
 class _TreeArrays:
     """A tree as :func:`_closure` returns it in tree mode, and its records.
@@ -628,6 +625,13 @@ def _unpack_keys(keys: np.ndarray, bits: int | None, width: int) -> np.ndarray:
     return ((keys[:, None] >> _lane_shifts(bits, width)) & ((1 << bits) - 1)) - (1 << (bits - 1))
 
 
+def _distinct_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct int64 rows of ``pairs`` and ``inverse``: ``distinct[inverse] == pairs``."""
+    bits = _key_bits(2, int(np.abs(pairs).max(initial=0)))
+    keys, inverse = np.unique(_row_keys(pairs, bits), return_inverse=True)
+    return _unpack_keys(keys, bits, 2), inverse.reshape(-1)
+
+
 def _new_rows(rows: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Positions of the first occurrence of each distinct row of ``rows``
     that is not a row of ``known``, for int64 rows of one width."""
@@ -809,14 +813,8 @@ class _Table(NamedTuple):
 def _pair_texts(pairs: np.ndarray) -> np.ndarray:
     """The canonical text of ``a + b*tau`` for each int64 row ``(a, b)``, as
     an object array; each distinct pair is rendered once."""
-    # parts of tree points and multiples are within 2**30 (_MAX_COORD), so
-    # a*2**32 + b is one to one
-    pairs = pairs.astype(np.int64)
-    keys, inverse = np.unique((pairs[:, 0] << 32) + pairs[:, 1], return_inverse=True)
-    inverse = inverse.reshape(-1)
-    at = np.empty(len(keys), dtype=np.int64)
-    at[inverse] = np.arange(len(pairs))  # a pair of each key
-    texts = [str(GoldenNumber(a, b)) for a, b in pairs[at].tolist()]
+    distinct, inverse = _distinct_pairs(pairs.astype(np.int64))
+    texts = [str(GoldenNumber(a, b)) for a, b in distinct.tolist()]
     return np.array(texts, dtype=object)[inverse]
 
 

@@ -478,6 +478,22 @@ def test_branch_decompose_and_embedding_match_fraction_reference(rule, rng):
         assert embedding_index(group, rule, lam) == _ref_embedding_index(group, rule, lam)
 
 
+@pytest.mark.parametrize("group, child, text", [
+    (H2, A1, "244410401+14930352t,-39088169+24157817t"),
+    (H3, H2, "116170025+70667t,71492565+7675986t,24157817-14930352t"),
+    (H3, A2, "-102334155+63245986t,24157817-14930352t,63245986-39088169t"),
+], ids=["H2-A1", "H3-H2", "H3-A2"])
+def test_branch_parts_follow_exact_element_order(group, child, text):
+    # each orbit has distinct coordinates closer than a float64 step
+    rule = branching_rule(group, child)
+    seed = group.parse_weight(text)
+    elements = generate_orbit(group, seed).elements
+    assert list(elements) == sorted(elements, key=lambda w: w.coords, reverse=True)
+    images = [_ref_project(rule, w) for w in elements]
+    first = list(dict.fromkeys(w for w in images if w.is_dominant))
+    assert list(branch_decompose(group, rule, seed).parts) == first
+
+
 # ---------------------------------------------------------------------------
 # multiset_even_index: row-backed products, hand-built tallies, exact past int64
 

@@ -1,3 +1,4 @@
+import math
 from math import prod
 
 import numpy as np
@@ -11,8 +12,9 @@ from horbits.errors import (
     NonDominantError,
     SizeLimitError,
 )
-from horbits.golden import golden
-from horbits.groups import H2, H3, H4, Weight
+from horbits.geometry import _orbit_rows
+from horbits.golden import GoldenNumber, golden
+from horbits.groups import H2, H3, H4, Weight, _flatten, _unflatten
 from horbits.orbits import (
     Decomposition,
     Orbit,
@@ -308,3 +310,60 @@ def test_h4_product_small():
     parts = decompose_product([a, b])
     assert parts.total_points() == 72000
     assert parts.parts[H4.weight(1, 0, 0, 1)] == 1
+
+
+# 268568218 and 244410401+14930352t, two coordinates of this orbit, differ by
+# tau**-36, less than the float64 step near them
+FLOAT_TIED_H2 = "244410401+14930352t,-39088169+24157817t"
+
+
+def _fibonacci_seed(group, rng):
+    """A dominant seed whose orbit may have distinct coordinates closer than a float64 step.
+
+    Coordinates are 0, tiny ``tau**-n = (-1)**n * (F(n+1) - F(n)*tau)`` with
+    36 <= n <= 40, or large pairs near 2**27: sums of a large and a tiny
+    coordinate then differ from the large one by less than its float64 step.
+    """
+    coords = []
+    for _ in range(group.rank):
+        kind = rng.random()
+        if kind < 0.25:
+            coords.append(GoldenNumber(0))
+        elif kind < 0.6:
+            n = rng.randint(36, 40)
+            sign = (-1) ** n
+            coords.append(GoldenNumber(sign * _fib(n + 1), -sign * _fib(n)))
+        else:
+            coords.append(GoldenNumber(rng.randint(1, 1 << 27), rng.randint(0, 1 << 24)))
+    return group.weight(coords)
+
+
+def _assert_exact_order(group, seeds):
+    """Each orbit strictly decreases under exact lexicographic comparison, and
+    :func:`_orbit_rows` lists the same rows for all seeds at once; returns
+    whether some orbit has two distinct coordinates closer than a float64 step."""
+    orbits = [generate_orbit(group, seed) for seed in seeds]
+    for orbit in orbits:
+        elements = orbit.elements
+        assert all(x.coords > y.coords for x, y in zip(elements, elements[1:]))
+    flats, denom = _flatten(seeds)
+    rows, sizes = _orbit_rows(group, flats)
+    assert sizes == [len(orbit) for orbit in orbits]
+    assert _unflatten(group, rows.tolist(), denom) == [w for o in orbits for w in o.elements]
+    values = [sorted({c for w in orbit.elements for c in w.coords}) for orbit in orbits]
+    return any(float(y - x) < math.ulp(float(y)) for v in values for x, y in zip(v, v[1:]))
+
+
+def test_float_tied_h2_orbit_lists_in_exact_order():
+    seed = H2.parse_weight(FLOAT_TIED_H2)
+    assert _assert_exact_order(H2, [seed])
+    texts = [w.text() for w in generate_orbit(H2, seed).elements]
+    assert texts[:4] == ["39088169+244410401t,24157817-283498570t",
+                         "-24157817+283498570t,-39088169-244410401t",
+                         "268568218,39088169-24157817t",
+                         "244410401+14930352t,-39088169+24157817t"]
+
+
+@pytest.mark.parametrize("group,count", [(H3, 12), (H4, 3)], ids=["H3", "H4"])
+def test_fibonacci_seeds_list_in_exact_order(rng, group, count):
+    assert _assert_exact_order(group, [_fibonacci_seed(group, rng) for _ in range(count)])

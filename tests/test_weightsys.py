@@ -909,3 +909,21 @@ def test_dot_matches_equal_weight_objects_by_value():
     )
     assert tree_to_dot(copied) == tree_to_dot(tree)
     assert tree_to_json(copied) == tree_to_json(tree)
+
+
+@pytest.mark.parametrize("values, bits", [
+    ([0, 1, -1, 5, -7], 32),
+    # the lane edge: every part within 2**31 - 1 still packs
+    ([0, 1, -1, (1 << 31) - 1, 1 - (1 << 31)], 32),
+    # a part of magnitude 2**31 or more takes the raw row bytes
+    ([0, 1, -(1 << 31), 1 << 31, -(1 << 40), (1 << 45) + 3], None),
+], ids=["small", "lane-edge", "raw-bytes"])
+def test_distinct_pairs_in_both_key_regimes(rng, values, bits):
+    pairs = np.array([[rng.choice(values), rng.choice(values)] for _ in range(200)],
+                     dtype=np.int64)
+    assert weightsys._key_bits(2, int(np.abs(pairs).max())) == bits
+    distinct, inverse = weightsys._distinct_pairs(pairs)
+    assert distinct.dtype == np.int64 and inverse.shape == (len(pairs),)
+    assert np.array_equal(distinct[inverse], pairs)
+    rows = set(map(tuple, distinct.tolist()))
+    assert len(rows) == len(distinct) and rows == set(map(tuple, pairs.tolist()))
