@@ -18,10 +18,13 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import MAX_TREE_NODES, DomainError, _write_text
+from .golden import golden
 from .groups import Group, Weight, _flatten, _unflatten
-from .orbits import _pair_ranks
+from .orbits import _orbit_flats, _pair_ranks
 from .weightsys import (
-    _distinct_pairs,
+    _adj_arrays,
+    _adj_times,
+    _distinct_rows,
     _json_list,
     _new_rows,
     _step_matrices,
@@ -37,11 +40,6 @@ __all__ = [
     "export_obj",
     "export_json",
 ]
-
-EDGE_RELTOL = 1e-9
-# float64 coordinate differences per batch of shells in the edge search
-_EDGE_BATCH = 1 << 20
-
 
 @dataclass(frozen=True)
 class CartesianEmbedding:
@@ -105,41 +103,53 @@ def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:
         levels.append(level)
     rows = np.concatenate(levels)
     # generate_orbit's order: exact ranks of the few distinct coordinates, descending
-    distinct, inverse = _distinct_pairs(rows[:, 1:].reshape(-1, 2))
+    distinct, inverse = _distinct_rows(rows[:, 1:].reshape(-1, 2))
     codes = -np.array(_pair_ranks(list(map(tuple, distinct.tolist()))))[inverse]
     order = np.lexsort((*codes.reshape(len(rows), -1)[:, ::-1].T, rows[:, 0]))
     return rows[order, 1:], np.bincount(rows[:, 0], minlength=len(flats)).tolist()
 
 
-def _shell_edges(points: np.ndarray, sizes: list[int]) -> list[tuple[tuple[int, int], ...]]:
-    """Point-index pairs at the minimal nonzero pairwise distance, per shell.
+def _shell_edges(group: Group, rows: np.ndarray, sizes: list[int],
+                 least: list[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
+    """Point-index pairs at the minimal nonzero distance, per shell, found exactly.
 
-    ``points`` stacks the shells, of ``sizes`` points each.  Shells of one
-    size are measured together, at most ``_EDGE_BATCH`` coordinate
-    differences at a time, with the float steps of one distance matrix
-    per shell.
+    ``rows`` stacks the shells' orbits as flat int64 rows, ``sizes`` points
+    each, and ``least`` is each shell dominant's least nonzero coordinate
+    ``m`` as an integer pair on the same scale, ``(0, 0)`` for the zero shell.
+    A nearest pair of points on a sphere is a hull edge, every hull edge of
+    an orbit polytope joins some ``x`` and ``x - <x,beta>*beta`` for a root
+    ``beta``, and all roots have one length, so the edges are the ``(x, x -
+    m*beta)`` with ``<x,beta> = m``; one root of each ``+-beta`` finds each once.
     """
+    (alpha,), _ = _flatten([group.simple_roots[0]])
+    # every bond of H2, H3 and H4 has an odd label, so all roots are images of alpha_1
+    roots = np.array([r for r in _orbit_flats(group, alpha) if r > tuple(-v for v in r)], np.int64)
+    # The heights det*<x,beta> as integer pairs.  An orbit point x = w(lambda) has
+    # coordinates <lambda, w^-1 alpha_j>: root coordinates (parts summing to at most
+    # 5 for H3, 2 for H2) times those of a dominant, whose parts are within
+    # _MAX_COORD = 2**30, so x has parts below 2**34.  The roots' coordinates times
+    # det have parts summing to at most 16, so heights and partial sums stay below 2**39.
+    ha, hb = _adj_times(rows, _adj_times(roots, _adj_arrays(group)))
+    da, db = int(group.cartan_det.rat), int(group.cartan_det.tau)
+    shell = np.repeat(np.arange(len(sizes)), sizes)
+    ma, mb = np.array(least, dtype=np.int64).reshape(-1, 2)[shell].T
+    point, root = np.nonzero((ha == (da * ma + db * mb)[:, None])
+                             & (hb == (da * mb + db * ma + db * mb)[:, None])
+                             & ((ma != 0) | (mb != 0))[:, None])
+    ma, mb, ba, bb = ma[point, None], mb[point, None], roots[root, 0::2], roots[root, 1::2]
+    partners = rows[point]
+    partners[:, 0::2] -= ma * ba + mb * bb
+    partners[:, 1::2] -= ma * bb + mb * ba + mb * bb
+    # orbits are disjoint, so a point's coordinates alone give its position
+    _, inverse = _distinct_rows(np.concatenate([rows, partners]))
+    position = np.empty(len(rows), dtype=np.int64)
+    position[inverse[:len(rows)]] = np.arange(len(rows))
+    pairs = np.sort(np.column_stack([point, position[inverse[len(rows):]]]), axis=1)
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
     starts = np.cumsum(sizes) - sizes
-    edges = [()] * len(sizes)
-    for n in set(sizes) - {0, 1}:
-        shells = np.flatnonzero(np.equal(sizes, n))
-        first, second = np.triu_indices(n, k=1)
-        batch = max(1, _EDGE_BATCH // (len(first) * points.shape[1]))
-        for chunk in np.split(shells, range(batch, len(shells), batch)):
-            stacked = points[starts[chunk, None] + np.arange(n)]
-            diff = np.take(stacked, first, axis=1)
-            diff -= np.take(stacked, second, axis=1)
-            diff *= diff
-            # the additions of diff.sum(axis=-1), without its slow reduction over a short axis
-            pair_d = np.sqrt(sum(diff[..., c] for c in range(points.shape[1])))
-            nonzero = pair_d > pair_d.max(axis=1, keepdims=True) * 1e-12
-            dmin = np.where(nonzero, pair_d, np.inf).min(axis=1, keepdims=True)
-            shell, pair = np.nonzero(nonzero & (pair_d <= dmin * (1 + EDGE_RELTOL)))
-            ends = list(zip(first[pair].tolist(), second[pair].tolist()))
-            bounds = np.searchsorted(shell, np.arange(len(chunk) + 1)).tolist()
-            for k, index in enumerate(chunk.tolist()):
-                edges[index] = tuple(ends[bounds[k]:bounds[k + 1]])
-    return edges
+    ends = list(zip(*(pairs - starts[shell[pairs[:, 0]], None]).T.tolist()))
+    bounds = np.searchsorted(pairs[:, 0], [*starts, len(rows)]).tolist()
+    return [tuple(ends[b:e]) for b, e in zip(bounds, bounds[1:])]
 
 
 def nested_polyhedra(group: Group, seed: Weight,
@@ -147,9 +157,9 @@ def nested_polyhedra(group: Group, seed: Weight,
     """One shell per lower-orbit dominant of the seed's weight system.
 
     Shells follow the exact listing order of :func:`weight_system_dominants`
-    (norm descending, then coordinates).  Minimal-distance edges are
-    computed for ranks up to 3 only; rank-4 shells have none (pairwise
-    distances over rank-4 orbits are too large to be useful).
+    (norm descending, then coordinates).  Minimal-distance edges, found
+    exactly from reflections, are part of the export for ranks up to 3
+    only: rank-4 shells have none, and OBJ has no rank-4 realization.
     ``max_nodes`` is the size guard of the weight-system closure.
 
     All shells' orbits are built together as flat integer rows and turned
@@ -162,13 +172,15 @@ def nested_polyhedra(group: Group, seed: Weight,
     dominants = [w for w, _ in weight_system_dominants(group, seed, max_nodes=max_nodes)]
     flats, denom = _flatten(dominants)
     rows, sizes = _orbit_rows(group, flats)
+    least = [min(filter(any, zip(f[0::2], f[1::2])), key=lambda p: golden(*p), default=(0, 0))
+             for f in flats]
+    edges = _shell_edges(group, rows, sizes, least) if group.rank <= 3 else [()] * len(sizes)
     exact = _unflatten(group, rows.tolist(), denom)
     coords = list(chain.from_iterable(map(attrgetter("coords"), exact)))
     values = {key: float(c) for key, c in {id(c): c for c in coords}.items()}
     omega = np.fromiter(map(values.__getitem__, map(id, coords)), np.float64, len(coords))
     basis = embed(group).basis_matrix
     cartesian = (basis @ omega.reshape(-1, group.rank, 1))[:, :, 0]
-    edges = _shell_edges(cartesian, sizes) if group.rank <= 3 else [()] * len(sizes)
     shells = tuple(Shell(
         dominant=dominant,
         radius=float(np.sqrt(float(group.inner(dominant, dominant)))),

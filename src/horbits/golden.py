@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import total_ordering
 
 __all__ = [
     "GoldenNumber",
@@ -34,6 +35,7 @@ _TAU_FRACTION = (1 + _SQRT5) / 2
 _RationalLike = (int, Fraction)
 
 
+@total_ordering
 class GoldenNumber:
     """An element ``q + r*tau`` of Q(tau) with exact rational parts."""
 
@@ -158,24 +160,6 @@ class GoldenNumber:
         if other is None:
             return NotImplemented
         return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).sign() >= 0
 
     def __hash__(self):
         # computed once: the flat-row helpers share one number between weights

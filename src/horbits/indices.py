@@ -169,6 +169,8 @@ def anomaly_number(group: Group, dominant: Weight, direction: Weight,
     each height ``det * D**2 * <mu, v>`` is the integer pair ``mu . u``; the
     heights are tallied, each distinct one is raised to ``degree`` in
     integers, and the sum is divided by ``(det * D**2)**degree`` once.
+    Every Coxeter degree of H3 and H4 is even, so ``-1`` is in W, every
+    orbit is ``O = -O``, and the sum is 0 there without enumeration.
     """
     group._own(dominant)
     group._own(direction)
@@ -178,6 +180,8 @@ def anomaly_number(group: Group, dominant: Weight, direction: Weight,
         raise DomainError("anomaly degree must be odd and positive")
     if not dominant.is_dominant:
         raise NonDominantError(f"{dominant} is not dominant")
+    if group.tag in ("H3", "H4"):
+        return IndexValue(ZERO, degree)
     (seed, v), denom = _flatten([dominant, direction])
     u = group._adj_flat(v)
     heights = Counter(_pair_dot(x, u) for x in _orbit_flats(group, seed))

@@ -625,11 +625,11 @@ def _unpack_keys(keys: np.ndarray, bits: int | None, width: int) -> np.ndarray:
     return ((keys[:, None] >> _lane_shifts(bits, width)) & ((1 << bits) - 1)) - (1 << (bits - 1))
 
 
-def _distinct_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct int64 rows of ``pairs`` and ``inverse``: ``distinct[inverse] == pairs``."""
-    bits = _key_bits(2, int(np.abs(pairs).max(initial=0)))
-    keys, inverse = np.unique(_row_keys(pairs, bits), return_inverse=True)
-    return _unpack_keys(keys, bits, 2), inverse.reshape(-1)
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct int64 rows of ``rows`` and ``inverse``: ``distinct[inverse] == rows``."""
+    bits = _key_bits(rows.shape[1], int(np.abs(rows).max(initial=0)))
+    keys, inverse = np.unique(_row_keys(rows, bits), return_inverse=True)
+    return _unpack_keys(keys, bits, rows.shape[1]), inverse.reshape(-1)
 
 
 def _new_rows(rows: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -813,7 +813,7 @@ class _Table(NamedTuple):
 def _pair_texts(pairs: np.ndarray) -> np.ndarray:
     """The canonical text of ``a + b*tau`` for each int64 row ``(a, b)``, as
     an object array; each distinct pair is rendered once."""
-    distinct, inverse = _distinct_pairs(pairs.astype(np.int64))
+    distinct, inverse = _distinct_rows(pairs.astype(np.int64))
     texts = [str(GoldenNumber(a, b)) for a, b in distinct.tolist()]
     return np.array(texts, dtype=object)[inverse]
 

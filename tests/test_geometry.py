@@ -7,15 +7,16 @@ import pytest
 
 from conftest import random_dominant
 from horbits.errors import DomainError
-from horbits.groups import A1, H2, H3, H4
+from horbits.groups import A1, H2, H3, H4, _flatten
 from horbits.geometry import (
-    EDGE_RELTOL,
     NestedPolyhedra,
     Shell,
     embed,
     export_json,
     export_obj,
     nested_polyhedra,
+    _orbit_rows,
+    _shell_edges,
 )
 from horbits.orbits import generate_orbit
 from horbits.weightsys import weight_system_dominants
@@ -129,6 +130,29 @@ def test_h4_nested_has_no_edges():
     assert poly.shells[0].points[0] and len(poly.shells[0].points[0]) == 4
 
 
+@pytest.mark.parametrize("text, edges, degree", [
+    ("1000,1347269-832040t,0", 30, 1),
+    ("1347269-832040t,1000,0", 60, 2),
+])
+def test_near_tied_edge_classes_keep_only_the_shortest(text, edges, degree):
+    # 1347269-832040t = 1000 + tau**-30: the two edge classes of this truncated
+    # icosahedron differ in length by a relative 5.4e-10, a float tie at 1e-9
+    (flat,), _ = _flatten([H3.parse_weight(text)])
+    rows, sizes = _orbit_rows(H3, [flat])
+    (shell_edges,) = _shell_edges(H3, rows, sizes, [(1000, 0)])
+    assert sizes == [60] and len(shell_edges) == edges
+    degrees = Counter(k for edge in shell_edges for k in edge)
+    assert len(degrees) == 60 and set(degrees.values()) == {degree}
+
+
+@pytest.mark.parametrize("group", [H2, H3], ids=lambda g: g.tag)
+def test_random_seed_edges_match_the_float_reference(group, rng):
+    for _ in range(10):
+        poly = nested_polyhedra(group, random_dominant(group, rng, max_coef=2))
+        for shell in poly.shells:
+            assert shell.edges == _ref_edges(np.array(shell.points))
+
+
 def test_json_export_round_trip(tmp_path):
     poly = nested_polyhedra(H3, H3.weight(2, 0, 0))
     path = tmp_path / "shells.json"
@@ -188,7 +212,7 @@ def _ref_edges(points):
     scale = pair_d.max()
     nonzero = pair_d > scale * 1e-12
     dmin = pair_d[nonzero].min()
-    keep = nonzero & (pair_d <= dmin * (1 + EDGE_RELTOL))
+    keep = nonzero & (pair_d <= dmin * (1 + 1e-9))
     return tuple((int(i), int(j)) for i, j in zip(iu[0][keep], iu[1][keep]))
 
 
@@ -261,6 +285,8 @@ def _assert_same_files(poly, ref, tmp_path):
 @pytest.mark.parametrize("group, text", [
     (H2, "3,5"),
     (H3, "1,0,0"), (H3, "0,0,1"), (H3, "2,2,0"), (H3, "3,1,0"), (H3, "2,1t,1"),
+    # one shell of 12 points, least coordinate tau**-30 with parts near 1.3e6
+    (H3, "1346269-832040t,0,0"),
     (H4, "0,0,0,1"), (H4, "1,0,0,1"),
     # coordinates past the packed keys: the orbit search keys raw row bytes
     (H4, "110000001+110000000t,0,0,0"),

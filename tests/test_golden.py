@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -129,10 +130,21 @@ def test_inverse_axiom(x):
     assert x * x.inverse() == ONE
 
 
-@given(goldens, goldens)
-def test_order_via_difference(x, y):
+@given(goldens, goldens, st.integers(-120, 120), rationals)
+def test_order_via_difference(x, y, n, q):
     assert (x > y) == ((x - y) > ZERO)
     assert (x == y) == (not (x < y) and not (y < x))
+    # <=, > and >= come from < and ==; ints and Fractions compare on either side
+    for a, b in ((x, y), (x, x), (x, n), (n, x), (x, q), (q, x), (golden(n), n), (q, golden(q))):
+        sign = (a - b).sign()
+        assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+
+
+def test_order_with_a_float_raises():
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((golden(1), 1.5), (1.5, golden(1))):
+            with pytest.raises(TypeError):
+                compare(a, b)
 
 
 @given(goldens)

@@ -190,6 +190,20 @@ def test_anomaly_h4_axis_directions_vanish():
         assert not anomaly_number(H4, lam, v, 3).value
 
 
+@pytest.mark.parametrize("group, seeds", [(H3, 6), (H4, 2)], ids=["H3", "H4"])
+def test_odd_indices_vanish_by_central_symmetry(group, seeds, rng):
+    # the enumeration stays the oracle of anomaly_number's zero for H3 and H4
+    for _ in range(seeds):
+        lam = random_dominant(group, rng, max_coef=2)
+        v = group.weight(*[rng.randint(-2, 2) or 1 for _ in range(group.rank)])
+        elements = generate_orbit(group, lam).elements
+        assert {-w for w in elements} == set(elements)
+        heights = [group.inner(w, v) for w in elements]
+        for degree in (1, 3, 5, 7):
+            assert sum((h ** degree for h in heights), ZERO) == ZERO
+            assert anomaly_number(group, lam, v, degree).value == ZERO
+
+
 def test_anomaly_degree_one_always_zero(rng):
     for group in (H2, H3):
         for _ in range(5):

@@ -912,18 +912,19 @@ def test_dot_matches_equal_weight_objects_by_value():
 
 
 @pytest.mark.parametrize("values, bits", [
-    ([0, 1, -1, 5, -7], 32),
-    # the lane edge: every part within 2**31 - 1 still packs
-    ([0, 1, -1, (1 << 31) - 1, 1 - (1 << 31)], 32),
+    ([0, 1, -1, 5, -7], (32, 10)),
+    # the lane edge: every part within 2**31 - 1 still packs in pairs
+    ([0, 1, -1, (1 << 31) - 1, 1 - (1 << 31)], (32, None)),
     # a part of magnitude 2**31 or more takes the raw row bytes
-    ([0, 1, -(1 << 31), 1 << 31, -(1 << 40), (1 << 45) + 3], None),
+    ([0, 1, -(1 << 31), 1 << 31, -(1 << 40), (1 << 45) + 3], (None, None)),
 ], ids=["small", "lane-edge", "raw-bytes"])
-def test_distinct_pairs_in_both_key_regimes(rng, values, bits):
-    pairs = np.array([[rng.choice(values), rng.choice(values)] for _ in range(200)],
-                     dtype=np.int64)
-    assert weightsys._key_bits(2, int(np.abs(pairs).max())) == bits
-    distinct, inverse = weightsys._distinct_pairs(pairs)
-    assert distinct.dtype == np.int64 and inverse.shape == (len(pairs),)
-    assert np.array_equal(distinct[inverse], pairs)
-    rows = set(map(tuple, distinct.tolist()))
-    assert len(rows) == len(distinct) and rows == set(map(tuple, pairs.tolist()))
+def test_distinct_rows_in_both_key_regimes(rng, values, bits):
+    for width, width_bits in zip((2, 6), bits):
+        rows = np.array([[rng.choice(values) for _ in range(width)] for _ in range(200)],
+                        dtype=np.int64)
+        assert weightsys._key_bits(width, int(np.abs(rows).max())) == width_bits
+        distinct, inverse = weightsys._distinct_rows(rows)
+        assert distinct.dtype == np.int64 and inverse.shape == (len(rows),)
+        assert np.array_equal(distinct[inverse], rows)
+        found = set(map(tuple, distinct.tolist()))
+        assert len(found) == len(distinct) and found == set(map(tuple, rows.tolist()))
