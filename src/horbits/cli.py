@@ -50,37 +50,44 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("orbit", help="generate an orbit from a dominant point")
+    p.set_defaults(run=_cmd_orbit)
     p.add_argument("group")
     p.add_argument("coords")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("index", help="even-degree index of an orbit")
+    p.set_defaults(run=_cmd_index)
     p.add_argument("group")
     p.add_argument("coords")
     p.add_argument("--degree", type=int, required=True)
 
     p = sub.add_parser("product", help="product of orbits (optionally decomposed)")
+    p.set_defaults(run=_cmd_product)
     p.add_argument("group")
     p.add_argument("coords", nargs="+")
     p.add_argument("--decompose", action="store_true")
 
     p = sub.add_parser("anomaly", help="odd-degree index along a direction")
+    p.set_defaults(run=_cmd_anomaly)
     p.add_argument("group")
     p.add_argument("coords")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--direction")
 
     p = sub.add_parser("branch", help="slice an orbit into subgroup orbits")
+    p.set_defaults(run=_cmd_branch)
     p.add_argument("group")
     p.add_argument("subgroup")
     p.add_argument("coords")
 
     p = sub.add_parser("embed-index", help="embedding index of a subgroup")
+    p.set_defaults(run=_cmd_embed_index)
     p.add_argument("group")
     p.add_argument("subgroup")
     p.add_argument("--orbit", dest="orbit_coords")
 
     p = sub.add_parser("lower-orbits", help="dominant points reachable by root subtraction")
+    p.set_defaults(run=_cmd_lower_orbits)
     p.add_argument("group")
     p.add_argument("coords")
     p.add_argument("--dot")
@@ -88,6 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_max_nodes(p)
 
     p = sub.add_parser("export", help="write nested-polyhedra geometry to a file")
+    p.set_defaults(run=_cmd_export)
     p.add_argument("group")
     p.add_argument("coords")
     p.add_argument("--nested", action="store_true", required=True)
@@ -118,7 +126,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = _dispatch(args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -135,20 +143,6 @@ def main(argv=None) -> int:
         message = str(exc).replace(_RAISE_MAX_NODES, "raise --max-nodes")
         print(f"error: {message}", file=sys.stderr)
         return 3
-
-
-def _dispatch(args) -> int:
-    handler = {
-        "orbit": _cmd_orbit,
-        "index": _cmd_index,
-        "product": _cmd_product,
-        "anomaly": _cmd_anomaly,
-        "branch": _cmd_branch,
-        "embed-index": _cmd_embed_index,
-        "lower-orbits": _cmd_lower_orbits,
-        "export": _cmd_export,
-    }[args.verb]
-    return handler(args)
 
 
 def _cmd_orbit(args) -> int:

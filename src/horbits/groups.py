@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain
 
 from .errors import DomainError, GroupMismatchError
-from .golden import GoldenNumber, TAU, ZERO, _pair_pow, _sign_pair, parse_golden
+from .golden import GoldenNumber, ONE, TAU, ZERO, _pair_pow, _sign_pair, parse_golden
 
 __all__ = [
     "Group",
@@ -169,41 +169,26 @@ def _as_golden(value) -> GoldenNumber:
     return converted
 
 
-def _determinant(matrix) -> GoldenNumber:
-    """Exact determinant by cofactor expansion (rank <= 4 here)."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = ZERO
-    for j in range(n):
-        if not matrix[0][j]:
-            continue
-        minor = tuple(
-            tuple(row[k] for k in range(n) if k != j) for row in matrix[1:]
-        )
-        term = matrix[0][j] * _determinant(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def _invert(matrix: tuple[tuple[GoldenNumber, ...], ...]):
-    """Exact Gauss-Jordan inverse over Q(tau)."""
+    """Exact Gauss-Jordan inverse over Q(tau), and the determinant: the
+    product of the pivots, negated once per row swap."""
     n = len(matrix)
-    aug = [list(row) + [ONEC if i == j else ZERO for j in range(n)]
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
            for i, row in enumerate(matrix)]
+    det = ONE
     for col in range(n):
         pivot_row = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            det = -det
+        det = det * aug[col][col]
         inv_pivot = aug[col][col].inverse()
         aug[col] = [v * inv_pivot for v in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-ONEC = GoldenNumber(1)
+    return tuple(tuple(row[n:]) for row in aug), det
 
 
 def _path_order(length: int, labels: tuple[int, ...]) -> int:
@@ -234,7 +219,7 @@ class Group:
         self.tag = tag
         self.rank = len(cartan_rows)
         self.cartan = tuple(tuple(_as_golden(v) for v in row) for row in cartan_rows)
-        self.gram = _invert(self.cartan)
+        self.gram, self.cartan_det = _invert(self.cartan)
         self.edge_labels = edge_labels
         self.order = _path_order(self.rank, edge_labels)
         # sparse forms of the cartan rows, for the reflection kernels:
@@ -244,7 +229,6 @@ class Group:
                   for j, v in enumerate(row) if v)
             for row in self.cartan
         )
-        self.cartan_det = _determinant(self.cartan)
         # adjugate of the Cartan matrix: cartan_det * gram, entries in Z[tau];
         # gives exact integer-pair sign tests for root coordinates
         adj = tuple(tuple(v * self.cartan_det for v in row) for row in self.gram)

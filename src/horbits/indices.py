@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, GroupMismatchError, NonDominantError
-from .golden import GoldenNumber, TAU, ZERO, _pair_pow, _sign_pair
+from .golden import GoldenNumber, ONE, TAU, ZERO, _pair_pow, _sign_pair
 from .groups import A1, A2, Group, H2, H3, Weight, _flatten, _pair_dot, _unflatten, get_group
 from .orbits import (
     Decomposition,
@@ -211,21 +211,13 @@ class BranchingRule:
     direction: Weight | None = None  # layer axis orthogonal to the child
 
 
-def _make_rules():
-    g1 = GoldenNumber(1)
-    g0 = ZERO
-    t = TAU
-    rules = {
-        ("H2", "A1"): BranchingRule(H2, A1, ((t, t),), H2.weight("-1t", "1t")),
-        ("H3", "H2"): BranchingRule(
-            H3, H2, ((g0, g1, g0), (g0, g0, g1)), H3.weight(1, 0, 0)),
-        ("H3", "A2"): BranchingRule(
-            H3, A2, ((g1, g0, g0), (g0, g1, g0)), H3.weight(0, 0, 1)),
-    }
-    return rules
-
-
-_RULES = _make_rules()
+_RULES = {
+    ("H2", "A1"): BranchingRule(H2, A1, ((TAU, TAU),), H2.weight("-1t", "1t")),
+    ("H3", "H2"): BranchingRule(
+        H3, H2, ((ZERO, ONE, ZERO), (ZERO, ZERO, ONE)), H3.weight(1, 0, 0)),
+    ("H3", "A2"): BranchingRule(
+        H3, A2, ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO)), H3.weight(0, 0, 1)),
+}
 
 
 def _check_rule(group: Group, rule: BranchingRule) -> None:

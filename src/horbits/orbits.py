@@ -209,13 +209,6 @@ class Decomposition:
     def total_points(self) -> int:
         return sum(m * self.group.orbit_size(w) for w, m in self.parts.items())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Decomposition)
-            and self.group is other.group
-            and self.parts == other.parts
-        )
-
 
 # ---------------------------------------------------------------------------
 # operations

@@ -286,8 +286,8 @@ def weight_system_dominants(group: Group, seed: Weight,
     The closure of :func:`build_tree`, pruned exactly to the positive root
     cone and recording no edges (the seed counts ``max(1, arrivals)``).
     ``max_nodes`` bounds the points kept, and ``8 * max_nodes`` the children
-    of one level; both guards, and the int64 range of the coordinates, are
-    checked before the arrays are allocated.
+    of one level; both guards are checked before a level's arrays are
+    allocated, and the int64 range of the coordinates before it is expanded.
     """
     _check_args(group, seed, max_nodes)
     rows, counts, lower, _ = _closure(group, seed, max_nodes, tree=False)
@@ -341,11 +341,11 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
     bit lanes, packed rows, and as the packing is linear a child's key is
     ``key(x) - ma*key(U_i) - mb*key(V_i)``, with no child row built, and the
     cone test takes float64 root coordinates, exact at those sizes; otherwise
-    each level's children are built as rows, held to the int64 range, keyed
-    by their raw bytes and tested on integer pairs.  Sorting the keys
-    deduplicates a level against a global sorted visited array.  Each point
-    is expanded once, so its arrival count is the number of times it is
-    emitted as a child.
+    each level's children are built as rows, keyed by their raw bytes and
+    tested on integer pairs, and each frontier is held to the int64 range.
+    Sorting the keys deduplicates a level against a global sorted visited
+    array.  Each point is expanded once, so its arrival count is the number
+    of times it is emitted as a child.
 
     Dominants mode prunes to the positive root cone and tallies the dominant
     points in a sorted key array with a count array.  Tree mode keeps every
@@ -390,9 +390,6 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         else:
             children = np.concatenate([frontier[p] - ma[:, None] * U[i] - mb[:, None] * V[i]
                                        for i, p, ma, mb in steps])
-            a, b = children[:, 0::2], children[:, 1::2]
-            if _sign_range(2 * a + b, b) > _MAX_COORD:
-                raise SizeLimitError(_OUT_OF_RANGE)
             keys = _row_keys(children, None)
         if tree:
             root = np.repeat([i for i, *_ in steps], [len(p) for _, p, _, _ in steps])
@@ -475,11 +472,12 @@ def _det_norms(rows, adj) -> list[tuple[int, int]]:
 
 
 # |2a + b| and |b| up to 2**30 keep the squares taken by _signs below 2**63.
-# Seeds and the children of every level built as rows are held to that bound
+# Seeds and, through _signs, the rows of every frontier are held to that bound
 # (so |a| <= 2**30 too; integer seed coordinates go up to 2**29), so their
 # children (below 5 * 2**30) and their root coordinates times det (adjugate
 # and det parts are below 8 for H2, H3, H4) stay far inside int64 before
-# they are checked.
+# they are checked: a new child is checked as a row of the next frontier,
+# and a revisited one equals a row checked before.
 _MAX_COORD = 1 << 30
 # _signs takes float64 when |2a + b| and |b| are below _FLOAT_SIGN (see its
 # proof).  The key regime keeps a child when the float64 r_i - m > -_CONE_EPS,
@@ -488,11 +486,6 @@ _MAX_COORD = 1 << 30
 # so a nonzero cone value is at least 1.9e-6, and the float error is below
 # 2e-10 (both bounds are computed in the tests).
 _FLOAT_SIGN, _CONE_EPS = 1 << 20, 1e-8
-
-
-def _sign_range(s: np.ndarray, b: np.ndarray) -> int:
-    """``max(|s|, |b|)`` for int64 arrays ``s = 2a + b`` and ``b`` (see :func:`_signs`)."""
-    return max(int(np.abs(s).max(initial=0)), int(np.abs(b).max(initial=0)))
 
 
 def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -505,7 +498,7 @@ def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every caller tests points of a weight system or their root coordinates,
     so an out-of-range input raises the closure's int64-range error."""
     s = 2 * a + b  # a + b*tau = (s + b*sqrt5) / 2
-    bound = _sign_range(s, b)
+    bound = max(int(np.abs(s).max(initial=0)), int(np.abs(b).max(initial=0)))
     if bound > _MAX_COORD:
         raise SizeLimitError(_OUT_OF_RANGE)
     if bound < _FLOAT_SIGN:

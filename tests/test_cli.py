@@ -179,9 +179,14 @@ def test_lower_orbits_max_nodes(capsys, tmp_path):
 
 def test_node_guards_name_the_flag(capsys, tmp_path):
     # node guard of the tree and of the closure, and the level-budget guard
-    # (the seed alone has 100 children, over 8 * 5 - 1)
+    # (the seed alone has 100 children, over 8 * 5 - 1); the children of
+    # 268435456+268435457t,0,0 are also past the int64 range, and the node
+    # guard of their level reports before the range test of the next frontier
     for argv in (("lower-orbits", "H3", "2,0,0", "--max-nodes", "3"),
                  ("lower-orbits", "H3", "2,0,0", "--max-nodes", "3",
+                  "--json", str(tmp_path / "tree.json")),
+                 ("lower-orbits", "H3", "268435456+268435457t,0,0", "--max-nodes", "2"),
+                 ("lower-orbits", "H3", "268435456+268435457t,0,0", "--max-nodes", "2",
                   "--json", str(tmp_path / "tree.json")),
                  ("lower-orbits", "H3", "100,0,0", "--max-nodes", "5"),
                  ("export", "H3", "100,0,0", "--nested", "--format", "obj",

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from horbits.errors import DomainError, GroupMismatchError
-from horbits.golden import GoldenNumber, TAU, golden
-from horbits.groups import A1, A2, GROUPS, H2, H3, H4, get_group
+from horbits.golden import GoldenNumber, TAU, golden, parse_golden
+from horbits.groups import A1, A2, GROUPS, H2, H3, H4, _invert, get_group
 
 ALL_GROUPS = (H2, H3, H4, A1, A2)
 
@@ -33,6 +33,23 @@ def test_gram_times_cartan_is_identity(group):
             for k in range(n):
                 acc = acc + group.gram[i][k] * group.cartan[k][j]
             assert acc == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize("matrix,inverse,det", [
+    # a permutation matrix: the elimination swaps rows once
+    (((0, 1), (1, 0)), ((0, 1), (1, 0)), -1),
+    # a Q(tau) matrix with leading entry 0: one swap, pivots 2 and tau
+    (((0, "1t"), (2, 1)), (("1/2-1/2t", "1/2"), ("-1+1t", 0)), "-2t"),
+], ids=["permutation", "golden"])
+def test_invert_returns_inverse_and_determinant(matrix, inverse, det):
+    def as_golden(rows):
+        return tuple(tuple(parse_golden(str(v)) for v in row) for row in rows)
+    assert _invert(as_golden(matrix)) == (as_golden(inverse), parse_golden(str(det)))
+
+
+def test_cartan_determinants_exact():
+    assert [g.cartan_det for g in ALL_GROUPS] == [
+        golden(3, -1), golden(4, -2), golden(5, -3), golden(2), golden(3)]
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)

@@ -14,7 +14,7 @@ from horbits.errors import (
 )
 from horbits.geometry import _orbit_rows
 from horbits.golden import GoldenNumber, golden
-from horbits.groups import H2, H3, H4, Weight, _flatten, _unflatten
+from horbits.groups import A2, H2, H3, H4, Weight, _flatten, _unflatten
 from horbits.orbits import (
     Decomposition,
     Orbit,
@@ -138,6 +138,19 @@ def test_decompose_single_orbit():
     orbit = generate_orbit(H3, H3.weight(0, 1, 0))
     parts = decompose(orbit.multiset())
     assert parts.parts == {orbit.dominant: 1}
+
+
+def test_decomposition_equality():
+    zero, one = golden(0), golden(1)
+    parts = {Weight(H2, (one, zero)): 2}
+    same = Decomposition(H2, {Weight(H2, (one, zero)): 2})
+    assert Decomposition(H2, parts) == same
+    assert Decomposition(H2, parts) != Decomposition(H2, {Weight(H2, (one, zero)): 1})
+    # equal parts under another group, and other types, compare unequal
+    assert Decomposition(A2, parts) != same
+    assert same != parts and parts != same
+    multiset = WeightMultiset(H2, parts)
+    assert same != multiset and multiset != same
 
 
 def test_decompose_rejects_partial_orbit():
