@@ -122,8 +122,11 @@ def _shell_edges(group: Group, rows: np.ndarray, sizes: list[int],
     m*beta)`` with ``<x,beta> = m``; one root of each ``+-beta`` finds each once.
     """
     (alpha,), _ = _flatten([group.simple_roots[0]])
-    # every bond of H2, H3 and H4 has an odd label, so all roots are images of alpha_1
-    roots = np.array([r for r in _orbit_flats(group, alpha) if r > tuple(-v for v in r)], np.int64)
+    # every bond of H2, H3 and H4 has an odd label, so all roots are images of
+    # alpha_1, and of the highest root, the orbit's dominant point
+    highest, _ = group._to_dominant_flat(alpha)
+    roots = np.array([r for r in _orbit_flats(group, highest) if r > tuple(-v for v in r)],
+                     np.int64)
     # The heights det*<x,beta> as integer pairs.  An orbit point x = w(lambda) has
     # coordinates <lambda, w^-1 alpha_j>: root coordinates (parts summing to at most
     # 5 for H3, 2 for H2) times those of a dominant, whose parts are within

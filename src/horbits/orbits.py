@@ -1,14 +1,16 @@
 """Orbit generation, direct sums, products, and decomposition into orbits.
 
-Orbit elements are generated by breadth-first closure under the simple
-reflections with exact deduplication, on the flat integer rows of
-:mod:`horbits.groups` (the numerators of a weight's 2*rank rational parts
-over a common denominator).
+Orbit elements are generated by a graded closure from the dominant point,
+on the flat integer rows of :mod:`horbits.groups` (the numerators of a
+weight's 2*rank rational parts over a common denominator): each level is
+reflected only upwards, and deduplicated on its own.
 
 Products of orbits are decomposed without forming their pairwise sums, by
 the stabilizer product rule: for dominant lambda and an orbit O_mu, the
 multiplicity of the orbit O_nu in O_lambda x O_mu is
-``|O_lambda| * #{y in O_mu : dom(lambda + y) = nu} / |O_nu|``.
+``|O_lambda| * #{y in O_mu : dom(lambda + y) = nu} / |O_nu|``, and the
+count is taken over one ``y`` per orbit of the stabilizer of lambda,
+weighted by the size of that orbit.
 """
 from __future__ import annotations
 
@@ -42,22 +44,28 @@ __all__ = [
 MAX_MATERIALIZED_POINTS = 2_000_000
 
 
-def _orbit_flats(group: Group, seed_flat):
-    """Closure of a flat weight under all simple reflections."""
+def _orbit_flats(group: Group, seed_flat) -> list[tuple[int, ...]]:
+    """Orbit of a dominant flat row, closed level by level, each point once.
+
+    The level of ``x`` is ``N(x) = #{beta > 0 : <x, beta> < 0}``.  If
+    ``x_i > 0`` then ``N(s_i x) = N(x) + 1``, and a point above level 0 has
+    some ``x_i < 0``, so it is ``s_i`` of a point one level below whose
+    coordinate ``i`` is positive.  Reflecting each point of a level only in
+    the ``s_i`` with ``x_i > 0`` therefore gives exactly the next level, and
+    a point can repeat only within its own level.  The seed must be
+    dominant, the one point of level 0: from any other point the levels
+    below it are never reached.
+    """
     rows = group._int_rows
     rank = group.rank
-    seen = {seed_flat}
-    frontier = [seed_flat]
-    while frontier:
-        new = []
-        for flat in frontier:
-            for i in range(rank):
-                image = _reflect_flat(flat, i, rows[i])
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-        frontier = new
-    return seen
+    level = [seed_flat]
+    orbit = [seed_flat]
+    while level:
+        level = list(dict.fromkeys(
+            _reflect_flat(x, i, rows[i])
+            for x in level for i in range(rank) if _sign_pair(x[2 * i], x[2 * i + 1]) > 0))
+        orbit += level
+    return orbit
 
 
 def _flat_orbit_size(group: Group, flat) -> int:
@@ -224,8 +232,7 @@ def generate_orbit(group: Group, dominant: Weight) -> Orbit:
     """All images of a dominant weight under the group, exactly deduplicated."""
     _check_orbit_seed(group, dominant)
     flats, denom = _flatten([dominant])
-    seen = _orbit_flats(group, flats[0])
-    elements = tuple(_unflatten(group, _element_order(seen), denom))
+    elements = tuple(_unflatten(group, _element_order(_orbit_flats(group, flats[0])), denom))
     return Orbit(group, dominant, elements)
 
 
@@ -301,17 +308,63 @@ def decompose(multiset: WeightMultiset) -> Decomposition:
     return out
 
 
+def _stabilizer_classes(group: Group, factor, zeros, name) -> list[tuple[tuple[int, ...], int]]:
+    """The flat orbit ``factor`` as ``(y, |W_J y|)`` pairs, one per W_J-orbit.
+
+    ``J``, the true ``zeros``, is the zero set of a dominant ``lambda``; its
+    stabilizer ``W_J`` fixes ``dom(lambda + y)`` on each W_J-orbit.  Each
+    W_J-orbit meets the closed J-chamber ``{y : y_i >= 0, i in J}`` exactly
+    once (Humphreys, *Reflection Groups and Coxeter Groups*, 1990,
+    1.10-1.12), in a ``y`` of W_J-orbit size ``|W_J| / |W_{J & zeros(y)}|``.
+    The elements must be distinct, reduce by J-reflections to kept ``y``,
+    and the sizes must sum to ``len(factor)``: then the elements are the
+    disjoint union of the kept W_J-orbits.  With ``J`` empty, every element
+    is kept, unchecked.
+    """
+    if not any(zeros):
+        return [(y, 1) for y in factor]
+    J = [i for i, zero in enumerate(zeros) if zero]
+    rows = group._int_rows
+    stab = group._orbit_size_of_zeros(zeros)
+    reps: dict[tuple[int, ...], int] = {}
+    reduced = set()
+    for y in factor:
+        x = y
+        while True:
+            for i in J:
+                if _sign_pair(x[2 * i], x[2 * i + 1]) < 0:
+                    x = _reflect_flat(x, i, rows[i])
+                    break
+            else:
+                break
+        if x is y:
+            reps[y] = group._orbit_size_of_zeros(
+                [zero and not (y[2 * i] or y[2 * i + 1]) for i, zero in enumerate(zeros)]) // stab
+        else:
+            reduced.add(x)
+    if len(set(factor)) != len(factor):
+        raise MalformedMultisetError(f"orbit of {name} has repeated elements")
+    if not reduced <= reps.keys():
+        raise MalformedMultisetError(f"orbit of {name} is not closed under its J-reflections")
+    covered = sum(reps.values())
+    if covered != len(factor):
+        raise MalformedMultisetError(
+            f"W_J-orbits cover {covered} of the {len(factor)} elements of the orbit of {name}")
+    return list(reps.items())
+
+
 def decompose_product(orbits) -> Decomposition:
     """Decomposition of a product of orbits by the stabilizer product rule.
 
     Left-associates: each dominant ``lambda`` of the running decomposition,
     with multiplicity ``m``, is multiplied by the next orbit ``O_mu`` by
-    reflecting every ``lambda + y``, ``y`` in ``O_mu``, to the dominant
-    chamber; a dominant ``nu`` reached ``count`` times gains multiplicity
-    ``m * |O_lambda| * count / |O_nu|``.  The first product iterates over
-    the smaller of the two orbits.  No sum point set is formed, so work
-    grows with the number of dominants times the size of the iterated orbit.
-    The bookkeeping identity ``sum(mult * |O_nu|) == prod |O_i|`` is checked.
+    reflecting one ``lambda + y`` per orbit of the stabilizer of ``lambda``
+    in ``O_mu`` to the dominant chamber, weighted by the size of that orbit
+    (:func:`_stabilizer_classes`); a dominant ``nu`` reached ``count`` times
+    gains multiplicity ``m * |O_lambda| * count / |O_nu|``.  The first
+    product iterates over the smaller of the two orbits.  No sum point set
+    is formed.  Every seed must be dominant, and the bookkeeping identity
+    ``sum(mult * |O_nu|) == prod |O_i|`` is checked.
     """
     orbits = list(orbits)
     if len(orbits) < 2:
@@ -320,6 +373,7 @@ def decompose_product(orbits) -> Decomposition:
     for orbit in orbits:
         if orbit.group is not group:
             raise GroupMismatchError("decompose_product requires a single group")
+        _check_orbit_seed(group, orbit.dominant)
     first, second = sorted(orbits[:2], key=len, reverse=True)
     iterated = [second, *orbits[2:]]
     for orbit in iterated:
@@ -332,14 +386,18 @@ def decompose_product(orbits) -> Decomposition:
         [[first.dominant], *(orbit.elements for orbit in iterated)])
 
     parts = {seed: 1}
-    for factor in factors:
+    for orbit, factor in zip(iterated, factors):
+        classes: dict[tuple[bool, ...], list] = {}
         merged: dict[tuple[int, ...], int] = {}
         for lam, mult in parts.items():
+            zeros = tuple(not (lam[i] or lam[i + 1]) for i in range(0, len(lam), 2))
+            if zeros not in classes:
+                classes[zeros] = _stabilizer_classes(group, factor, zeros, orbit.dominant)
             tally: dict[tuple[int, ...], int] = {}
-            for y in factor:
+            for y, size in classes[zeros]:
                 nu, _ = group._to_dominant_flat(tuple([a + b for a, b in zip(lam, y)]))
-                tally[nu] = tally.get(nu, 0) + 1
-            lam_size = _flat_orbit_size(group, lam)
+                tally[nu] = tally.get(nu, 0) + size
+            lam_size = group._orbit_size_of_zeros(zeros)
             for nu, count in tally.items():
                 m, rest = divmod(lam_size * count, _flat_orbit_size(group, nu))
                 if rest:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dominant
+from horbits import geometry
 from horbits.errors import DomainError
 from horbits.groups import A1, H2, H3, H4, _flatten
 from horbits.geometry import (
@@ -143,6 +144,27 @@ def test_near_tied_edge_classes_keep_only_the_shortest(text, edges, degree):
     assert sizes == [60] and len(shell_edges) == edges
     degrees = Counter(k for edge in shell_edges for k in edge)
     assert len(degrees) == 60 and set(degrees.values()) == {degree}
+
+
+@pytest.mark.parametrize("group, count", [(H2, 5), (H3, 15), (H4, 60)],
+                         ids=lambda v: getattr(v, "tag", v))
+def test_edge_search_takes_one_root_of_each_pair(group, count, monkeypatch):
+    # the first _adj_times call of _shell_edges takes the root array
+    calls = []
+    adj_times = geometry._adj_times
+
+    def spy(rows, adj):
+        calls.append(rows)
+        return adj_times(rows, adj)
+
+    monkeypatch.setattr(geometry, "_adj_times", spy)
+    (flat,), _ = _flatten([group.weight(*([1] * group.rank))])
+    _shell_edges(group, np.array([flat], np.int64), [1], [(0, 0)])
+    roots = [tuple(r) for r in calls[0].tolist()]
+    (alpha,), _ = _flatten([group.simple_roots[0]])
+    assert len(roots) == count
+    assert len(set(roots) | {tuple(-v for v in r) for r in roots}) == 2 * count
+    assert {group._det_norm_pair(r) for r in roots} == {group._det_norm_pair(alpha)}
 
 
 @pytest.mark.parametrize("group", [H2, H3], ids=lambda g: g.tag)

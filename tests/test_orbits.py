@@ -1,10 +1,13 @@
 import math
+import random
+from fractions import Fraction
 from math import prod
 
 import numpy as np
 import pytest
 
 from conftest import random_dominant
+from test_acceptance import TABLE_CLASSES, random_class_weight
 from horbits.errors import (
     DomainError,
     GroupMismatchError,
@@ -14,7 +17,7 @@ from horbits.errors import (
 )
 from horbits.geometry import _orbit_rows
 from horbits.golden import GoldenNumber, golden
-from horbits.groups import A2, H2, H3, H4, Weight, _flatten, _unflatten
+from horbits.groups import A2, H2, H3, H4, Group, Weight, _flatten, _reflect_flat, _unflatten
 from horbits.orbits import (
     Decomposition,
     Orbit,
@@ -24,7 +27,9 @@ from horbits.orbits import (
     generate_orbit,
     orbit_product,
     orbit_sum,
+    _element_order,
     _norm_order,
+    _orbit_flats,
     _pair_ranks,
 )
 
@@ -380,3 +385,133 @@ def test_float_tied_h2_orbit_lists_in_exact_order():
 @pytest.mark.parametrize("group,count", [(H3, 12), (H4, 3)], ids=["H3", "H4"])
 def test_fibonacci_seeds_list_in_exact_order(rng, group, count):
     assert _assert_exact_order(group, [_fibonacci_seed(group, rng) for _ in range(count)])
+
+
+def _ref_orbit_flats(group, seed_flat):
+    """The closure under every simple reflection of every point, against one
+    global set: the reference for the graded closure of :func:`_orbit_flats`."""
+    rows = group._int_rows
+    seen = {seed_flat}
+    frontier = [seed_flat]
+    while frontier:
+        new = []
+        for flat in frontier:
+            for i in range(group.rank):
+                image = _reflect_flat(flat, i, rows[i])
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return seen
+
+
+def test_graded_closure_matches_the_global_search():
+    # the criterion-1 seed of each of the 25 zero-pattern classes
+    rng = random.Random(101)
+    for group, pattern, size in TABLE_CLASSES:
+        seed = random_class_weight(group, pattern, rng)
+        (flat,), denom = _flatten([seed])
+        orbit = _orbit_flats(group, flat)
+        reference = _ref_orbit_flats(group, flat)
+        assert isinstance(orbit, list)
+        assert len(orbit) == len(set(orbit)) == size == group.orbit_size(seed)
+        assert set(orbit) == reference
+        elements = _unflatten(group, _element_order(reference), denom)
+        assert generate_orbit(group, seed).elements == tuple(elements)
+
+
+# coordinates of the product seeds: 1/2, tau, 1 + tau and 1, or 0
+PRODUCT_COORDS = [golden(Fraction(1, 2)), golden(0, 1), golden(1, 1), golden(1)]
+
+
+def _product_seed(group, rng, pattern=None):
+    """A dominant seed: zeros outside ``pattern`` (random, not all zero, if
+    None) and one of :data:`PRODUCT_COORDS` inside."""
+    while pattern is None or not any(pattern):
+        pattern = [rng.random() < 0.6 for _ in range(group.rank)]
+    return group.weight([rng.choice(PRODUCT_COORDS) if flag else 0 for flag in pattern])
+
+
+def test_product_rule_matches_materialized_on_random_seeds(rng):
+    cases = [[_product_seed(group, rng) for _ in range(k)]
+             for group, k, count in ((H2, 2, 8), (H3, 2, 8), (H2, 3, 4), (H3, 3, 6))
+             for _ in range(count)]
+    cases += [[_product_seed(H4, rng, p) for p in patterns] for patterns in (
+        ((1, 0, 0, 0), (0, 0, 0, 1)), ((0, 1, 0, 0), (1, 0, 0, 0)),
+        ((0, 0, 0, 1), (1, 0, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)))]
+    tested = 0
+    for seeds in cases:
+        orbits = [generate_orbit(w.group, w) for w in seeds]
+        if prod(map(len, orbits)) > 200_000:
+            continue
+        assert decompose_product(orbits) == decompose(orbit_product(orbits))
+        tested += 1
+    assert tested >= 20
+
+
+@pytest.mark.parametrize("coords, calls", [
+    (("1,1,0,0", "0,0,1,1"), 300),
+    (("1,0,0,0", "0,0,0,1"), 15),
+])
+def test_product_rule_reflects_one_sum_per_stabilizer_orbit(coords, calls, monkeypatch):
+    # the stabilizer of (0,0,1,1) is A2, of (0,0,0,1) A3: 1440 and 120 points
+    # of the smaller orbit fall into 300 and 15 stabilizer orbits
+    orbits = [generate_orbit(H4, H4.parse_weight(c)) for c in coords]
+    reflected = []
+    to_dominant = Group._to_dominant_flat
+
+    def counted(group, flat):
+        reflected.append(flat)
+        return to_dominant(group, flat)
+
+    monkeypatch.setattr(Group, "_to_dominant_flat", counted)
+    parts = decompose_product(orbits)
+    assert len(reflected) == calls
+    assert parts.total_points() == prod(map(len, orbits))
+
+
+@pytest.mark.parametrize("group, coords, sample", [
+    (H3, ("0,1,1", "1,0,0"), None),
+    (H4, ("0,0,1,1", "1,1,0,0"), 24),
+], ids=["H3", "H4"])
+def test_product_rejects_a_repeated_element(group, coords, sample):
+    # every element overwritten by a copy of every other (H3), or a sample (H4)
+    big, small = (generate_orbit(group, group.parse_weight(c)) for c in coords)
+    n = len(small)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if sample:
+        pairs = random.Random(7).sample(pairs, sample)
+    for i, j in pairs:
+        elements = list(small.elements)
+        elements[i] = elements[j]
+        corrupted = Orbit(group, small.dominant, tuple(elements))
+        with pytest.raises(MalformedMultisetError):
+            decompose_product([big, corrupted])
+
+
+def test_product_rejects_points_off_the_stabilizer_orbits():
+    # (0,1,1) is fixed by s_1 alone; the points of (1,0,0) pair up under it
+    big = generate_orbit(H3, H3.weight(0, 1, 1))
+    small = generate_orbit(H3, H3.weight(1, 0, 0))
+    elements = list(small.elements)
+    free = [k for k, w in enumerate(elements) if w.coords[0] > 0]
+    moved = [k for k, w in enumerate(elements) if w.coords[0] < 0]
+    # a kept representative replaced: its partner reduces to a missing point
+    swapped = elements[:]
+    swapped[free[0]] = elements[free[0]].scaled(2)
+    # a partner replaced by a new representative: the orbit sizes sum past 12
+    grown = elements[:]
+    grown[moved[0]] = elements[free[0]].scaled(2)
+    for broken, message in ((swapped, "not closed under its J-reflections"), (grown, "cover 14 of")):
+        corrupted = Orbit(H3, small.dominant, tuple(broken))
+        with pytest.raises(MalformedMultisetError, match=message):
+            decompose_product([big, corrupted])
+
+
+def test_product_rejects_a_non_dominant_seed():
+    good = generate_orbit(H3, H3.weight(0, 0, 1))
+    bad = Orbit(H3, H3.parse_weight("1+2t,-1-2t,2"),
+                generate_orbit(H3, H3.weight(1, 1, 0)).elements)
+    for orbits in ([bad, good], [good, bad]):
+        with pytest.raises(NonDominantError):
+            decompose_product(orbits)
