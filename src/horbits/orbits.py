@@ -316,10 +316,10 @@ def _stabilizer_classes(group: Group, factor, zeros, name) -> list[tuple[tuple[i
     W_J-orbit meets the closed J-chamber ``{y : y_i >= 0, i in J}`` exactly
     once (Humphreys, *Reflection Groups and Coxeter Groups*, 1990,
     1.10-1.12), in a ``y`` of W_J-orbit size ``|W_J| / |W_{J & zeros(y)}|``.
-    The elements must be distinct, reduce by J-reflections to kept ``y``,
-    and the sizes must sum to ``len(factor)``: then the elements are the
-    disjoint union of the kept W_J-orbits.  With ``J`` empty, every element
-    is kept, unchecked.
+    The elements, distinct (:func:`decompose_product` checks that), must
+    reduce by J-reflections to kept ``y``, and the sizes must sum to
+    ``len(factor)``: then the elements are the disjoint union of the kept
+    W_J-orbits.  With ``J`` empty, every element is kept.
     """
     if not any(zeros):
         return [(y, 1) for y in factor]
@@ -342,8 +342,6 @@ def _stabilizer_classes(group: Group, factor, zeros, name) -> list[tuple[tuple[i
                 [zero and not (y[2 * i] or y[2 * i + 1]) for i, zero in enumerate(zeros)]) // stab
         else:
             reduced.add(x)
-    if len(set(factor)) != len(factor):
-        raise MalformedMultisetError(f"orbit of {name} has repeated elements")
     if not reduced <= reps.keys():
         raise MalformedMultisetError(f"orbit of {name} is not closed under its J-reflections")
     covered = sum(reps.values())
@@ -387,6 +385,8 @@ def decompose_product(orbits) -> Decomposition:
 
     parts = {seed: 1}
     for orbit, factor in zip(iterated, factors):
+        if len(set(factor)) != len(factor):
+            raise MalformedMultisetError(f"orbit of {orbit.dominant} has repeated elements")
         classes: dict[tuple[bool, ...], list] = {}
         merged: dict[tuple[int, ...], int] = {}
         for lam, mult in parts.items():

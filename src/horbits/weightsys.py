@@ -226,16 +226,16 @@ def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
         raise DomainError(f"subtraction requires Z[tau] coordinates, got {point}")
     U, V = _step_matrices(group)
     frontier = _int_row(point)
-    edges = []
     over_budget = (f"{point} has {{total}} subtraction children, "
                    "over the fixed budget of {budget}")
-    for i, _, ma, mb in _child_steps(frontier, _signs(frontier[:, 0::2], frontier[:, 1::2]),
-                                     None, 8 * MAX_TREE_NODES, over_budget):
-        children = frontier[0] - ma[:, None] * U[i] - mb[:, None] * V[i]
-        targets = _unflatten(group, children.tolist(), 1)
-        edges += [SubtractionEdge(point, t, GoldenNumber(a, b), i + 1)
-                  for t, a, b in zip(targets, ma.tolist(), mb.tolist())]
-    return edges
+    root, _, sa, sb, n = _child_steps(frontier, _signs(frontier[:, 0::2], frontier[:, 1::2]),
+                                      None, 8 * MAX_TREE_NODES, over_budget)
+    k, root = _ranks(n), np.repeat(root, n)
+    ma, mb = k * np.repeat(sa, n), k * np.repeat(sb, n)
+    children = frontier[0] - ma[:, None] * U[root] - mb[:, None] * V[root]
+    targets = _unflatten(group, children.tolist(), 1)
+    return [SubtractionEdge(point, t, GoldenNumber(a, b), i + 1)
+            for t, a, b, i in zip(targets, ma.tolist(), mb.tolist(), root.tolist())]
 
 
 def _check_args(group: Group, seed: Weight, max_nodes: int) -> None:
@@ -338,62 +338,92 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
 
     A level travels as exact 1-D keys, in a format chosen once from
     :func:`_coord_bound`: when every reachable point fits the ``64 // width``
-    bit lanes, packed rows, and as the packing is linear a child's key is
-    ``key(x) - ma*key(U_i) - mb*key(V_i)``, with no child row built, and the
-    cone test takes float64 root coordinates, exact at those sizes; otherwise
+    bit lanes, packed rows, and as the packing is linear the children of a
+    string (:func:`_child_steps`) have keys ``key(x) - k*step`` with ``step =
+    sa*key(U_i) + sb*key(V_i)``, with no child row built, and the signs and
+    the cone test take float64 coordinates, exact at those sizes; otherwise
     each level's children are built as rows, keyed by their raw bytes and
     tested on integer pairs, and each frontier is held to the int64 range.
-    Sorting the keys deduplicates a level against a global sorted visited
-    array.  Each point is expanded once, so its arrival count is the number
+    Sorting the keys deduplicates a level against the sorted keys visited
+    before.  Each point is expanded once, so its arrival count is the number
     of times it is emitted as a child.
 
-    Dominants mode prunes to the positive root cone and tallies the dominant
-    points in a sorted key array with a count array.  Tree mode keeps every
-    point and numbers it first in, first out: a level's children are put in
-    order of parent, root index and multiple, so a point's first visit is
-    the first occurrence of its key.  Returns ``(rows, counts, lower,
-    edges)``: the dominant rows (tree mode: every point's row, by number),
-    their arrival counts, the positions of the lower dominants in listing
-    order, and in tree mode the edges ``(source, target, ma, mb, root,
-    first_visit)`` as arrays.
+    Dominants mode prunes to the positive root cone and keeps the visited
+    keys in three sorted arrays: the dominant points with a count array, and
+    the other points in a main and a recent run.  A level's new other keys
+    are merged into the recent run, which is merged into the main run once
+    it holds a quarter as many keys (O'Neil et al., "The log-structured
+    merge-tree", Acta Inf. 33, 1996), so a key is copied a few times, not
+    once per level.  Tree mode keeps every point and numbers it first in,
+    first out: a level's children are put in order of parent, root index
+    and multiple, so a point's first visit is the first occurrence of its
+    key.  Returns ``(rows, counts, lower, edges)``: the dominant rows (tree
+    mode: every point's row, by number), their arrival counts, the
+    positions of the lower dominants in listing order, and in tree mode the
+    edges ``(source, target, ma, mb, root, first_visit)`` as arrays.
     """
     width = 2 * group.rank
     U, V = _step_matrices(group)
     adj = _adj_arrays(group)
+    det = (int(group.cartan_det.rat), int(group.cartan_det.tau))
 
     frontier = _int_row(seed)
-    signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
     bits = _key_bits(width, _coord_bound(group, seed))
-    cone = None if tree else (adj, (int(group.cartan_det.rat), int(group.cartan_det.tau)))
     if bits is not None:
         # key(x) = sum((x_l + offset) << shift_l) is linear in x; int64
         # wrap-around cancels because every child key is in range
         key_u, key_v = ((M << _lane_shifts(bits, width)).sum(axis=1) for M in (U, V))
-        if not tree:  # coordinates below 2**15: float64 decides the cone exactly
-            cone = np.array(group.gram, dtype=float)
-    keys = visited = _row_keys(frontier, bits)
+        gram = np.array(group.gram, dtype=float)
+    keys, counts, seen = _row_keys(frontier, bits), np.zeros(1, dtype=np.int64), 1
     if tree:
-        # the number of each visited key; the rows and the edges of each level
-        ids = np.zeros(1, dtype=np.int64)
-        levels, events = [frontier], []
+        # the sorted visited keys and the number of each; the rows and the
+        # edges of each level
+        visited, ids = keys, np.zeros(1, dtype=np.int64)
+        levels, events = [], []
     else:
-        # the dominants met so far (the seed is one), as sorted keys and counts
-        dom_keys = visited
-        dom_counts = np.zeros(1, dtype=np.int64)
+        # the dominants met so far, as sorted keys and arrival counts, and
+        # the other visited keys as two sorted runs
+        dom_keys, dom_counts = keys[:0], counts[:0]
+        main = recent = keys[:0]
     while len(frontier):
-        steps = _child_steps(frontier, signs, cone, budget=8 * max_nodes - len(visited))
-        if not steps:
-            break
         if bits is not None:
-            keys = np.concatenate([keys[p] - ma * key_u[i] - mb * key_v[i]
-                                   for i, p, ma, mb in steps])
+            # coordinates below 2**15: the float64 values have exact signs,
+            # and their root coordinates decide the cone exactly
+            signs = frontier[:, 0::2] + frontier[:, 1::2] * _TAU_F
+            roots = None if tree else signs @ gram
         else:
-            children = np.concatenate([frontier[p] - ma[:, None] * U[i] - mb[:, None] * V[i]
-                                       for i, p, ma, mb in steps])
-            keys = _row_keys(children, None)
+            signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
+            roots = None if tree else (_adj_times(frontier, adj), det)
         if tree:
-            root = np.repeat([i for i, *_ in steps], [len(p) for _, p, _, _ in steps])
-            parent, ma, mb = (np.concatenate(column) for column in list(zip(*steps))[1:])
+            levels.append(frontier)
+        else:
+            # column by column: numpy reduces the short rows far more slowly
+            dominant = np.logical_and.reduce([column >= 0 for column in signs.T])
+            at = np.searchsorted(dom_keys, keys[dominant])
+            dom_keys = np.insert(dom_keys, at, keys[dominant])
+            dom_counts = np.insert(dom_counts, at, counts[dominant])
+            # keys[~dominant] is sorted, so the stable sort is a linear merge;
+            # sorting in place holds no third copy of the main run
+            recent = np.concatenate([recent, keys[~dominant]])
+            recent.sort(kind="stable")
+            if 4 * len(recent) >= len(main):
+                main, recent = np.concatenate([main, recent]), recent[:0]
+                main.sort(kind="stable")
+        root, parent, sa, sb, n = _child_steps(frontier, signs, roots,
+                                               budget=8 * max_nodes - seen)
+        if not len(n):
+            break
+        k = _ranks(n)
+        if bits is not None:
+            step = sa * key_u[root] + sb * key_v[root]
+            keys = np.repeat(keys[parent], n) - k * np.repeat(step, n)
+        else:
+            step = sa[:, None] * U[root] + sb[:, None] * V[root]
+            keys = _row_keys(np.repeat(frontier[parent], n, axis=0)
+                             - k[:, None] * np.repeat(step, n, axis=0), None)
+        if tree:
+            root, parent = np.repeat(root, n), np.repeat(parent, n)
+            ma, mb = k * np.repeat(sa, n), k * np.repeat(sb, n)
             # first in, first out: by parent, then root index, then multiple
             order = np.argsort(parent, kind="stable")
             keys, root, parent, ma, mb = (a[order] for a in (keys, root, parent, ma, mb))
@@ -405,34 +435,28 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
             fresh = np.flatnonzero(new)[np.argsort(first[new])]
             number = np.empty(len(keys), dtype=np.int64)
             number[~new] = ids[pos[~new]]
-            number[fresh] = len(visited) + np.arange(len(fresh))
+            number[fresh] = seen + np.arange(len(fresh))
             visits = new[inverse] & (first[inverse] == np.arange(len(inverse)))
             # the frontier holds the points numbered last
-            events.append((len(visited) - len(frontier) + parent, number[inverse],
+            events.append((seen - len(frontier) + parent, number[inverse],
                            ma, mb, root, visits))
             ids = np.insert(ids, pos[new], number[new])
+            visited = np.insert(visited, pos[new], keys[new])
+            keys = keys[fresh]
         else:
             keys, counts = np.unique(keys, return_counts=True)
-            pos = np.searchsorted(visited, keys)
-            new = _missing(visited, keys, pos)
+            for run in (main, recent):
+                new = _missing(run, keys, np.searchsorted(run, keys))
+                keys, counts = keys[new], counts[new]
             # a revisited dominant was tallied when it was new
-            old = keys[~new]
-            at = np.searchsorted(dom_keys, old)
-            hit = ~_missing(dom_keys, old, at)
-            dom_counts[at[hit]] += counts[~new][hit]
-        visited = np.insert(visited, pos[new], keys[new])
-        if len(visited) > max_nodes:
+            at = np.searchsorted(dom_keys, keys)
+            hit = ~_missing(dom_keys, keys, at)
+            dom_counts[at[hit]] += counts[hit]
+            keys, counts = keys[~hit], counts[~hit]
+        seen += len(keys)
+        if seen > max_nodes:
             raise SizeLimitError(f"weight system exceeds {max_nodes} nodes; {_RAISE_MAX_NODES}")
-        keys = keys[fresh] if tree else keys[new]
         frontier = _unpack_keys(keys, bits, width)
-        signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
-        if tree:
-            levels.append(frontier)
-        else:
-            dominant = (signs >= 0).all(axis=1)
-            at = np.searchsorted(dom_keys, keys[dominant])
-            dom_keys = np.insert(dom_keys, at, keys[dominant])
-            dom_counts = np.insert(dom_counts, at, counts[new][dominant])
 
     if not tree:
         rows = _unpack_keys(dom_keys, bits, width)
@@ -480,11 +504,15 @@ def _det_norms(rows, adj) -> list[tuple[int, int]]:
 # and a revisited one equals a row checked before.
 _MAX_COORD = 1 << 30
 # _signs takes float64 when |2a + b| and |b| are below _FLOAT_SIGN (see its
-# proof).  The key regime keeps a child when the float64 r_i - m > -_CONE_EPS,
-# for root coordinate r_i of the parent and multiple m: with parts below B =
-# 2**15, 2**9, 2**7 (H2, H3, H4), det*(r_i - m) has parts below 7B, 14B, 26B,
-# so a nonzero cone value is at least 1.9e-6, and the float error is below
-# 2e-10 (both bounds are computed in the tests).
+# proof).  In the key regime a string of step s from a parent with root
+# coordinate r_i keeps n = min(g, floor((r_i + _CONE_EPS)/s)) children, in
+# float64.  With parts below B = 2**15, 2**9, 2**7 (H2, H3, H4), det*(r_i -
+# k*s) has parts below 7B, 14B, 26B, so a nonzero cone value is at least
+# delta = 1.9e-6.  _CONE_EPS exceeds the float errors of r_i and k*s plus one
+# rounding of r_i (below 1.9e-10), so every k inside the cone is counted; and
+# (delta - _CONE_EPS - those errors) / ((1 + tau)*B) exceeds B*2**-53, the
+# rounding of the quotient, so no k outside it is (every bound is computed in
+# the tests; H2 has the least margin, a factor of 6).
 _FLOAT_SIGN, _CONE_EPS = 1 << 20, 1e-8
 
 
@@ -528,25 +556,33 @@ def _adj_times(rows: np.ndarray, adj) -> tuple[np.ndarray, np.ndarray]:
 def _missing(keys: np.ndarray, probe: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Mask of ``probe`` values absent from the sorted ``keys``, given
     ``pos = np.searchsorted(keys, probe)``."""
-    found = pos < len(keys)
-    found[found] = keys[pos[found]] == probe[found]
-    return ~found
+    if not len(keys):
+        return np.ones(len(probe), dtype=bool)
+    # a probe past the last key meets the last key, which is smaller
+    return keys[np.minimum(pos, len(keys) - 1)] != probe
 
 
-def _child_steps(frontier: np.ndarray, signs: np.ndarray, cone, budget: int,
+def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, budget: int,
                  over_budget: str = _LEVEL_OVER_BUDGET):
-    """Subtraction steps of the frontier rows, as ``(i, parents, ma, mb)`` per root.
+    """Subtraction strings of the frontier rows, as arrays ``(root, parents,
+    sa, sb, n)`` with one entry per string.
 
-    The child of ``frontier[parents[k]]`` is that row minus ``(ma[k] +
-    mb[k]*tau) * alpha_i``; steps come by root, parent, then multiple.
-    ``signs`` are the signs of the frontier coordinates.  With a ``cone``,
-    only the steps into the positive root cone are kept: subtracting ``m *
-    alpha_i`` lowers only root coordinate ``i``, and a point outside the cone
-    never reaches a dominant point again.  The test is exact: on integer
-    pairs when ``cone`` is ``(adj, (det_a, det_b))`` (:func:`_adj_arrays`,
-    ``cartan_det``), in float64 when it is the float inverse Cartan matrix,
-    for rows of the packed-key regime (see ``_CONE_EPS``).  The child count
-    is checked against ``budget`` before any step array is allocated;
+    Row ``x = frontier[parents[j]]``, whose coordinate ``x_i = a + b*tau``
+    (``i = root[j]``) is positive, with ``g = gcd(|a|, |b|)``, has the string
+    of children ``x - k*s*alpha_i``, ``s = sa[j] + sb[j]*tau = x_i/g``, for
+    ``k = 1..n[j]``; strings come by root, then parent, and those with no
+    child are left out.  ``signs`` holds the signs of the frontier
+    coordinates, or float64 values with those signs.  Without ``roots``,
+    ``n = g``.  With ``roots``, the root coordinates of the frontier, only
+    the children in the positive root cone are kept: subtracting
+    ``k*s*alpha_i`` lowers only root coordinate ``r_i``, by ``k*s``, so they
+    are the prefix ``k <= r_i/s`` of the string, and a point outside the
+    cone never reaches a dominant point again.  The prefix is exact: counted
+    on integer pairs when ``roots`` is ``((ra, rb), (da, db))``
+    (:func:`_adj_times`, ``cartan_det``), and ``n = min(g, floor((r_i +
+    _CONE_EPS)/s))`` in float64 when ``roots`` is a float array, for rows of
+    the packed-key regime (see ``_CONE_EPS``).  The string lengths ``g`` are
+    checked against ``budget`` before any step array is allocated;
     ``over_budget`` is the message, with fields ``total`` and ``budget``.
     """
     plans = []
@@ -557,34 +593,39 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, cone, budget: int,
             continue
         fa = frontier[rows, 2 * i]
         fb = frontier[rows, 2 * i + 1]
-        g = np.gcd(np.abs(fa), np.abs(fb))
+        g = np.gcd(fa, fb)
         total += int(g.sum())
-        plans.append((i, rows, fa // g, fb // g, g))
+        plans.append((i, rows, fa, fb, g))
     if total > budget:
         raise SizeLimitError(over_budget.format(total=total, budget=budget))
-    if isinstance(cone, tuple):
-        (ra, rb), (da, db) = _adj_times(frontier, cone[0]), cone[1]
-    elif cone is not None:
-        roots = (frontier[:, 0::2] + frontier[:, 1::2] * _TAU_F) @ cone
-    steps = []
-    for i, rows, sa, sb, g in plans:
-        ends = np.cumsum(g)
-        reps = np.repeat(np.arange(len(rows)), g)
-        k = np.arange(int(ends[-1])) - np.repeat(ends - g, g) + 1
-        ma = k * sa[reps]
-        mb = k * sb[reps]
-        parents = rows[reps]
-        if cone is not None:
-            if isinstance(cone, tuple):
-                inside = _signs(ra[parents, i] - (da * ma + db * mb),
-                                rb[parents, i] - (da * mb + db * ma + db * mb)) >= 0
-            else:
-                inside = roots[parents, i] - (ma + mb * _TAU_F) > -_CONE_EPS
-            if not inside.any():
-                continue
-            parents, ma, mb = parents[inside], ma[inside], mb[inside]
-        steps.append((i, parents, ma, mb))
-    return steps
+    strings = [(np.zeros(0, dtype=np.int64),) * 5]
+    while plans:  # each plan is dropped once its strings are made
+        i, rows, fa, fb, g = plans.pop(0)
+        # exact: g divides parts below 2**31, and float64 division rounds correctly
+        sa = (fa / g).astype(np.int64)
+        sb = (fb / g).astype(np.int64)
+        if roots is None:
+            n = g
+        elif isinstance(roots, tuple):
+            ((ra, rb), (da, db)), k = roots, _ranks(g)
+            reps = np.repeat(np.arange(len(rows)), g)
+            ma, mb, parents = k * sa[reps], k * sb[reps], rows[reps]
+            inside = _signs(ra[parents, i] - (da * ma + db * mb),
+                            rb[parents, i] - (da * mb + db * ma + db * mb)) >= 0
+            n = np.bincount(reps[inside], minlength=len(rows))
+        else:
+            # astype truncates: the floor of a quotient >= 0, and below 1 either way
+            quotient = (roots[rows, i] + _CONE_EPS) / (sa + sb * _TAU_F)
+            n = np.minimum(g, quotient.astype(np.int64))
+        keep = n > 0
+        strings.append((np.full(int(keep.sum()), i), rows[keep], sa[keep], sb[keep], n[keep]))
+    return tuple(np.concatenate(column) for column in zip(*strings))
+
+
+def _ranks(n: np.ndarray) -> np.ndarray:
+    """``1, ..., n[j]`` for each string ``j`` in turn: the multiples ``k`` of
+    its children (:func:`_child_steps`)."""
+    return np.arange(1, n.sum() + 1) - np.repeat(np.cumsum(n) - n, n)
 
 
 def _key_bits(width: int, bound: int) -> int | None:
@@ -612,10 +653,12 @@ def _row_keys(rows: np.ndarray, bits: int | None) -> np.ndarray:
 
 
 def _unpack_keys(keys: np.ndarray, bits: int | None, width: int) -> np.ndarray:
-    """Inverse of :func:`_row_keys`."""
+    """Inverse of :func:`_row_keys`; packed keys unpack column by column, to
+    a column-major array."""
     if bits is None:
         return np.ascontiguousarray(keys).view(np.int64).reshape(-1, width)
-    return ((keys[:, None] >> _lane_shifts(bits, width)) & ((1 << bits) - 1)) - (1 << (bits - 1))
+    mask, offset = (1 << bits) - 1, 1 << (bits - 1)
+    return (((keys >> _lane_shifts(bits, width)[:, None]) & mask) - offset).T
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -473,9 +473,12 @@ def test_product_rule_reflects_one_sum_per_stabilizer_orbit(coords, calls, monke
 @pytest.mark.parametrize("group, coords, sample", [
     (H3, ("0,1,1", "1,0,0"), None),
     (H4, ("0,0,1,1", "1,1,0,0"), 24),
-], ids=["H3", "H4"])
+    (H3, ("1,1,1", "1,0,0"), None),
+], ids=["H3", "H4", "H3-generic"])
 def test_product_rejects_a_repeated_element(group, coords, sample):
-    # every element overwritten by a copy of every other (H3), or a sample (H4)
+    # every element overwritten by a copy of every other (H3: all 132), or a
+    # sample (H4); the generic (1,1,1) has a trivial stabilizer, so only the
+    # distinctness check sees the copy
     big, small = (generate_orbit(group, group.parse_weight(c)) for c in coords)
     n = len(small)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -282,6 +283,26 @@ def test_fast_dominants_match_tree_tau_and_mixed(group, text):
     assert weight_system_dominants(group, seed) == build_tree(group, seed).lower_dominants
 
 
+# the six Table-3 families for a = 1..6, family-major, then (7,7,0)
+_TABLE3_SEEDS = [tuple(a * c for c in family)
+                 for family in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+                 for a in range(1, 7)] + [(7, 7, 0)]
+
+
+@pytest.mark.parametrize("group,seeds,lines,digest", [
+    (H3, _TABLE3_SEEDS, 15_316,
+     "03c3945298e0dde0b7fbcabc77b700c1375ece61a19c01c81ff66af7a0885d72"),
+    (H4, [(1, 1, 0, 1), (1, 0, 0, 1), (0, 0, 0, 3), (2, 0, 0, 0), (0, 1, 1, 0)], 313,
+     "a70cc257dffc6e88b3e8beb4970ceda735904dc7ca6740312cbedc9be77bfef3"),
+], ids=["H3", "H4"])
+def test_lower_orbit_listings_are_pinned(group, seeds, lines, digest):
+    # the listings, counts and order of the benchmark's seeds, byte for byte
+    text = "".join(f"{w.text()} x{n}\n" for s in seeds
+                   for w, n in weight_system_dominants(group, group.weight(*s)))
+    assert text.count("\n") == lines
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_fast_dominants_lane_bound_fails_mid_closure(monkeypatch):
     # H4 keys pack 8-bit lanes; the closure reaches (1+13t,0,0,0) and points
     # up to 41 in a coordinate part, and the proven bound (51) keeps them all
@@ -437,31 +458,44 @@ def _boundary_rows(group, rng, top, count):
 @pytest.mark.parametrize("group", [H2, H3, H4], ids=lambda g: g.tag)
 def test_float_cone_decisions_match_integer_pairs_at_the_key_bound(group):
     # full closures stay far below the key regime's bound, so random rows
-    # reach it here: every float64 cone decision must equal the exact
-    # integer-pair one, on and next to the cone boundary too
+    # reach it here: the float64 prefix of every string must equal the
+    # count of its steps that pass the exact integer-pair test, on and next
+    # to the cone boundary too
     width = 2 * group.rank
     top = _key_regime_top(group)
-    rng = random.Random(1400 + group.rank)
-    rows = [[rng.randint(-top, top) for _ in range(width)] for _ in range(1500)]
-    for row in rows[::3]:
-        row[rng.randrange(width)] = rng.choice((top, -top))
-    frontier = np.array(rows + _boundary_rows(group, rng, top, 600), dtype=np.int64)
-    assert np.abs(frontier).max() == top
-    signs = weightsys._signs(frontier[:, 0::2], frontier[:, 1::2])
     adj = weightsys._adj_arrays(group)
     da, db = det = (int(group.cartan_det.rat), int(group.cartan_det.tau))
-    exact = weightsys._child_steps(frontier, signs, (adj, det), 10**8)
-    fast = weightsys._child_steps(frontier, signs, np.array(group.gram, dtype=float), 10**8)
-    assert ([(i, p.tolist(), ma.tolist(), mb.tolist()) for i, p, ma, mb in fast]
-            == [(i, p.tolist(), ma.tolist(), mb.tolist()) for i, p, ma, mb in exact])
-    # the cone pruned some steps and kept some on its boundary
-    every = weightsys._child_steps(frontier, signs, None, 10**8)
-    assert sum(len(p) for _, p, _, _ in exact) < sum(len(p) for _, p, _, _ in every)
-    ra, rb = weightsys._adj_times(frontier, adj)
-    on_boundary = sum(int(((ra[p, i] == da * ma + db * mb)
-                           & (rb[p, i] == da * mb + db * ma + db * mb)).sum())
-                      for i, p, ma, mb in exact)
-    assert on_boundary > 50
+    gram = np.array(group.gram, dtype=float)
+    for seed in range(3):
+        rng = random.Random(1400 + group.rank + 10 * seed)
+        rows = [[rng.randint(-top, top) for _ in range(width)] for _ in range(1500)]
+        for row in rows[::3]:
+            row[rng.randrange(width)] = rng.choice((top, -top))
+        frontier = np.array(rows + _boundary_rows(group, rng, top, 600), dtype=np.int64)
+        assert np.abs(frontier).max() == top
+        # the closure's two cone tests: integer pairs, and the key regime's floats
+        signs = weightsys._signs(frontier[:, 0::2], frontier[:, 1::2])
+        roots = (weightsys._adj_times(frontier, adj), det)
+        exact = weightsys._child_steps(frontier, signs, roots, 10**8)
+        values = frontier[:, 0::2] + frontier[:, 1::2] * weightsys._TAU_F
+        fast = weightsys._child_steps(frontier, values, values @ gram, 10**8)
+        assert [a.tolist() for a in fast] == [a.tolist() for a in exact]
+        # the counts are prefixes, checked on every string: step n (if n > 0)
+        # is inside the cone and step n + 1 (if n < g) outside
+        (ra, rb), every = roots[0], weightsys._child_steps(frontier, signs, None, 10**8)
+        root, parents, _, _, ns = (a.tolist() for a in exact)
+        kept = {(i, p): n for i, p, n in zip(root, parents, ns)}
+        on_boundary = 0
+        for i, p, a, b, g in zip(*(a.tolist() for a in every)):
+            n, r = kept.get((i, p), 0), (int(ra[p, i]), int(rb[p, i]))
+            cone = [_sign_pair(r[0] - (da * k * a + db * k * b),
+                               r[1] - (da * k * b + db * k * a + db * k * b))
+                    for k in (n, n + 1)]
+            assert (n == 0 or cone[0] >= 0) and (n == g or cone[1] < 0)
+            on_boundary += n > 0 and cone[0] == 0
+        # the cone pruned some steps and kept some on its boundary
+        assert sum(ns) < int(every[4].sum())
+        assert on_boundary > 50
 
 
 @pytest.mark.parametrize("group", [H2, H3, H4], ids=lambda g: g.tag)
@@ -469,26 +503,39 @@ def test_cone_eps_lies_between_float_error_and_smallest_cone_value(group):
     # In the key regime every part is below B.  det*(r_i - m) = p + q*tau has
     # |p| <= P*B and |q| <= Q*B, from the adjugate rows and det; its field norm
     # is a nonzero integer unless it is zero, so a nonzero cone value is at
-    # least 1/((P + Q/tau)*B*|det|).
+    # least delta = 1/((P + Q/tau)*B*|det|).
     B = _key_regime_top(group) + 1
     adj = group._adjugate_int
     da, db = int(group.cartan_det.rat), int(group.cartan_det.tau)
     P = max(sum(abs(a) + abs(b) for a, b in row) for row in adj) + abs(da) + abs(db)
     Q = max(sum(abs(b) + abs(a + b) for a, b in row) for row in adj) + abs(db) + abs(da + db)
-    smallest = 1 / ((P + Q / _TAU) * B * abs(float(group.cartan_det)))
+    delta = 1 / ((P + Q / _TAU) * B * abs(float(group.cartan_det)))
     # The float steps: a + b*TAU_F (error below 6*B*ulp over its three
-    # roundings, for x and for m alike), the product with the float inverse
-    # Cartan matrix (rank terms, column sums G), and one subtraction.
+    # roundings), then the product with the float inverse Cartan matrix
+    # (rank terms, column sums G) gives r_i, below G*(1 + tau)*B.
     gram = np.abs(np.array(group.gram, dtype=float))
     n, G = group.rank, float(gram.sum(axis=0).max())
     gamma = n * _ULP / (1 - n * _ULP)
     e_x = 6 * B * _ULP
     e_r = G * (e_x * (1 + _ULP) + (1 + _TAU) * B * _ULP
                + gamma * ((1 + _TAU) * B + e_x) * (1 + _ULP))
-    error = (e_r + e_x) * (1 + _ULP)
-    assert error < weightsys._CONE_EPS < (smallest - error) * (1 - _ULP)
-    # the figures quoted where _CONE_EPS is defined
-    assert smallest >= 1.9e-6 and error < 2e-10
+    # A string of step s = sa + sb*tau keeps n = min(g, floor((r_i + eps)/s))
+    # children, in float64.  Its k-th child has k*sa and k*sb below B, so
+    # k*e_s <= 6*B*ulp for the error e_s of s; the sum r_i + eps rounds by at
+    # most ulp(r_i).
+    eps, k_e_s = weightsys._CONE_EPS, e_x
+    ulp_r = float(np.spacing(G * (1 + _TAU) * B + e_r + eps))
+    # Inside the cone, r_i - k*s >= 0 gives fl(r_i + eps) > k*s, so the
+    # quotient rounds to k or more.
+    assert eps > e_r + k_e_s + ulp_r
+    # Outside, r_i - k*s <= -delta puts (r_i + eps)/s below k by more than
+    # (delta - eps - e_r - k*e_s - ulp(r_i))/s, with s < (1 + tau)*B, and the
+    # quotient, which rounds by k*2**-53 with k <= B, stays below k.
+    margin = (delta - eps - e_r - k_e_s - ulp_r) / ((1 + _TAU) * B) / (B * _ULP)
+    assert margin > 1
+    # the figures quoted where _CONE_EPS is defined; H2 has the least margin
+    assert delta >= 1.9e-6 and e_r + k_e_s + ulp_r < 1.9e-10
+    assert margin > (6 if group is H2 else 10**6)
 
 
 def test_fast_dominants_norms_past_int64():
