@@ -8,6 +8,7 @@ reflection ``i`` subtracts ``x_i * alpha_i`` from a weight ``x``.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -136,6 +137,49 @@ def _unflatten(group: "Group", flats, denom: int) -> list[Weight]:
             coords.append(number)
         weights.append(Weight(group, tuple(coords)))
     return weights
+
+
+class _Records:
+    """One record field of an object that holds flat rows (a built tree, a
+    generated orbit): its length is known at once, and its records are the
+    source's attribute ``field``, built on the first read of an item.  It
+    compares and hashes as those records."""
+
+    __slots__ = ("_source", "_field", "_length")
+
+    def __init__(self, source, field: str, length: int):
+        self._source, self._field, self._length = source, field, length
+
+    def _value(self):
+        return getattr(self._source, self._field)
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, key):
+        return self._value()[key]
+
+    def __iter__(self):
+        return iter(self._value())
+
+    def __eq__(self, other):
+        if isinstance(other, _Records):
+            other = other._value()
+        return self._value() == other
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self):
+        return repr(self._value())
+
+
+class _RecordList(_Records, Sequence):
+    __slots__ = ()
+
+
+class _RecordDict(_Records, Mapping):
+    __slots__ = ()
 
 
 def _pair_dot(fx, fy) -> tuple[int, int]:

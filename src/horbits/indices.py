@@ -116,9 +116,13 @@ def _power_sum(tally, p: int) -> tuple[int, int]:
 def direct_product_index(factors, p: int) -> IndexValue:
     """Index of order 2p of a product of orbits of distinct groups.
 
-    ``factors`` is a sequence of (group, dominant) pairs.  With the inner
-    product block-diagonal over the factors, the value is
-    ``prod |O_i| * sum_j <lambda_j, lambda_j>**p``.
+    ``factors`` is a sequence of (group, dominant) pairs.  The value is the
+    sum, over the points ``(x_1, ..., x_k)`` of the product, of
+    ``sum_j <x_j, x_j>**p``: the index of each factor, counted once per point
+    of the others, ``sum_j (prod_{i != j} |O_i|) * I_2p(O_j)``, which is
+    ``prod |O_i| * sum_j <lambda_j, lambda_j>**p``.  It is not the power sum
+    ``(sum_j <x_j, x_j>)**p`` of the block-diagonal inner product, which
+    differs for ``p >= 2``.
     """
     factors = list(factors)
     if not factors:

@@ -1,9 +1,10 @@
 """Orbit generation, direct sums, products, and decomposition into orbits.
 
-Orbit elements are generated by a graded closure from the dominant point,
-on the flat integer rows of :mod:`horbits.groups` (the numerators of a
-weight's 2*rank rational parts over a common denominator): each level is
-reflected only upwards, and deduplicated on its own.
+Orbit elements are generated from the dominant point on the flat integer
+rows of :mod:`horbits.groups` (the numerators of a weight's 2*rank rational
+parts over a common denominator), each point once, from its unique parent.
+A generated orbit keeps those rows, and builds its ``Weight`` elements only
+when they are read.
 
 Products of orbits are decomposed without forming their pairwise sums, by
 the stabilizer product rule: for dominant lambda and an orbit O_mu, the
@@ -14,10 +15,10 @@ weighted by the size of that orbit.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cmp_to_key
-from itertools import islice
-from math import prod
+from functools import cached_property, cmp_to_key
+from math import lcm, prod
 from operator import add
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     SizeLimitError,
 )
 from .golden import GoldenNumber, _sign_pair, _value_numerator
-from .groups import Group, Weight, _flatten, _reflect_flat, _unflatten
+from .groups import Group, Weight, _flatten, _RecordList, _reflect_flat, _unflatten
 
 __all__ = [
     "Orbit",
@@ -45,26 +46,40 @@ MAX_MATERIALIZED_POINTS = 2_000_000
 
 
 def _orbit_flats(group: Group, seed_flat) -> list[tuple[int, ...]]:
-    """Orbit of a dominant flat row, closed level by level, each point once.
+    """Orbit of a dominant flat row, each point generated once.
 
-    The level of ``x`` is ``N(x) = #{beta > 0 : <x, beta> < 0}``.  If
-    ``x_i > 0`` then ``N(s_i x) = N(x) + 1``, and a point above level 0 has
-    some ``x_i < 0``, so it is ``s_i`` of a point one level below whose
-    coordinate ``i`` is positive.  Reflecting each point of a level only in
-    the ``s_i`` with ``x_i > 0`` therefore gives exactly the next level, and
-    a point can repeat only within its own level.  The seed must be
-    dominant, the one point of level 0: from any other point the levels
-    below it are never reached.
+    A point ``x`` other than the seed has exactly one parent, ``s_f x`` with
+    ``f`` the least index such that ``x_f < 0`` (Casselman, Invent. Math.
+    116 (1994); Stembridge, MSJ Memoirs 11 (2001)).  So the children of a
+    point ``y`` with least negative index ``f`` (the rank for the seed) are
+    the ``s_i y`` whose least negative index is ``i``.  On a path diagram
+    ``s_i`` changes only coordinates ``i - 1``, ``i`` and ``i + 1``, and
+    raises ``i - 1``: every ``i < f`` with ``y_i != 0`` gives a child,
+    ``i = f + 1`` gives one if the image's coordinate ``f`` is ``>= 0``, and
+    no larger ``i`` does.  Every test is exact.
     """
     rows = group._int_rows
     rank = group.rank
-    level = [seed_flat]
+    # the entry a_{i,i-1} of each row i > 0, as an integer pair
+    below = [None] + [next((ca, cb) for j, ca, cb in rows[i] if j == i - 1)
+                      for i in range(1, rank)]
     orbit = [seed_flat]
-    while level:
-        level = list(dict.fromkeys(
-            _reflect_flat(x, i, rows[i])
-            for x in level for i in range(rank) if _sign_pair(x[2 * i], x[2 * i + 1]) > 0))
-        orbit += level
+    firsts = [rank]  # least negative index of each point; the seed has none
+    # both lists grow in step while they are read
+    for x, f in zip(orbit, firsts):
+        for i in range(f):
+            if x[2 * i] or x[2 * i + 1]:
+                orbit.append(_reflect_flat(x, i, rows[i]))
+                firsts.append(i)
+        i = f + 1
+        if i < rank:
+            # coordinate f of s_i x, as _reflect_flat computes it
+            xa, xb = x[2 * i], x[2 * i + 1]
+            ca, cb = below[i]
+            if _sign_pair(x[2 * f] - xa * ca - xb * cb,
+                          x[2 * f + 1] - xa * cb - xb * ca - xb * cb) >= 0:
+                orbit.append(_reflect_flat(x, i, rows[i]))
+                firsts.append(i)
     return orbit
 
 
@@ -75,10 +90,17 @@ def _flat_orbit_size(group: Group, flat) -> int:
 
 
 def _flatten_lists(lists) -> tuple[list[list[tuple[int, ...]]], int]:
-    """Flatten several lists of weights over one shared denominator."""
-    flats, denom = _flatten([w for weights in lists for w in weights])
-    rows = iter(flats)
-    return [list(islice(rows, len(weights))) for weights in lists], denom
+    """Flat rows of several weight sequences over their least common
+    denominator: a generated orbit's elements give the rows they hold, any
+    other sequence is flattened, and rows are scaled to the shared one."""
+    parts = []
+    for weights in lists:
+        source = getattr(weights, "_source", None)
+        parts.append((source.rows, source.denom) if isinstance(source, _OrbitRows)
+                     else _flatten(weights))
+    denom = lcm(*(d for _, d in parts))
+    return [rows if d == denom else [tuple(v * (denom // d) for v in row) for row in rows]
+            for rows, d in parts], denom
 
 
 def _pair_ranks(pairs: list[tuple[int, int]]) -> list[int]:
@@ -135,13 +157,25 @@ def _by_norm(group: Group, items) -> list:
 # public types
 
 
+class _OrbitRows:
+    """The flat rows of an orbit over ``denom``, and its elements."""
+
+    def __init__(self, group: Group, rows: list[tuple[int, ...]], denom: int):
+        self.group, self.rows, self.denom = group, rows, denom
+
+    @cached_property
+    def elements(self) -> tuple[Weight, ...]:
+        return tuple(_unflatten(self.group, _element_order(self.rows), self.denom))
+
+
 @dataclass(frozen=True)
 class Orbit:
-    """A dominant weight together with all of its reflections."""
+    """A dominant weight together with all of its reflections: a tuple, or
+    the view of :func:`generate_orbit`, which compares and hashes as one."""
 
     group: Group
     dominant: Weight
-    elements: tuple[Weight, ...]
+    elements: Sequence[Weight]
 
     def __len__(self):
         return len(self.elements)
@@ -229,11 +263,16 @@ def _check_orbit_seed(group: Group, dominant: Weight) -> None:
 
 
 def generate_orbit(group: Group, dominant: Weight) -> Orbit:
-    """All images of a dominant weight under the group, exactly deduplicated."""
+    """All images of a dominant weight under the group, each generated once.
+
+    ``elements`` is a view over the rows of :func:`_orbit_flats`: its length
+    is known at once, and its ``Weight`` tuple, in element order, is built
+    on the first read of an item.  Products read the rows directly.
+    """
     _check_orbit_seed(group, dominant)
-    flats, denom = _flatten([dominant])
-    elements = tuple(_unflatten(group, _element_order(_orbit_flats(group, flats[0])), denom))
-    return Orbit(group, dominant, elements)
+    (seed,), denom = _flatten([dominant])
+    rows = _orbit_flats(group, seed)
+    return Orbit(group, dominant, _RecordList(_OrbitRows(group, rows, denom), "elements", len(rows)))
 
 
 def orbit_sum(orbits) -> WeightMultiset:

@@ -39,7 +39,7 @@ from .errors import (
     SizeLimitError,
 )
 from .golden import GoldenNumber, TAU
-from .groups import Group, Weight, H3, _flatten, _unflatten
+from .groups import Group, Weight, H3, _flatten, _RecordDict, _RecordList, _Records, _unflatten
 from .orbits import _norm_order
 
 __all__ = [
@@ -178,44 +178,6 @@ class _TreeArrays:
 
 
 _RECORD_FIELDS = ("nodes", "edges", "arrivals", "lower_dominants")
-
-
-class _Records:
-    """One record field of a built tree (:class:`_TreeArrays`): its length
-    is known at once, and its records are built on the first read of an item."""
-
-    __slots__ = ("_arrays", "_field", "_length")
-
-    def __init__(self, arrays: _TreeArrays, field: str, length: int):
-        self._arrays, self._field, self._length = arrays, field, length
-
-    def _value(self):
-        return getattr(self._arrays, self._field)
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, key):
-        return self._value()[key]
-
-    def __iter__(self):
-        return iter(self._value())
-
-    def __eq__(self, other):
-        if isinstance(other, _Records):
-            other = other._value()
-        return self._value() == other
-
-    def __repr__(self):
-        return repr(self._value())
-
-
-class _RecordList(_Records, Sequence):
-    __slots__ = ()
-
-
-class _RecordDict(_Records, Mapping):
-    __slots__ = ()
 
 
 def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
@@ -858,8 +820,8 @@ def _table(tree: SubtractionTree) -> _Table:
     """The index table of a tree: from its arrays while all its record
     fields are the views :func:`build_tree` made, else from its records."""
     views = [getattr(tree, name) for name in _RECORD_FIELDS]
-    arrays = getattr(views[0], "_arrays", None)
-    if all(isinstance(v, _Records) and v._arrays is arrays for v in views):
+    arrays = getattr(views[0], "_source", None)
+    if all(isinstance(v, _Records) and v._source is arrays for v in views):
         return arrays.table()
     index: dict[Weight, int] = {}
     points = []

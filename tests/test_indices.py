@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+import itertools
 
 import pytest
 
@@ -118,6 +119,25 @@ def test_direct_product_index_matches_brute_force(rng):
             for w2 in generate_orbit(H2, lam2).elements:
                 brute = brute + H2.inner(w1, w1) + H2.inner(w2, w2)
         assert value == brute
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_direct_product_index_sums_factor_indices(rng, p):
+    # the sum of each factor's <x_j, x_j>**p over the product's points
+    cases = [[(H2, H2.weight(1, 0)), (H2, H2.weight(0, 1))]]
+    cases += [[(H2, random_dominant(H2, rng)), (H3, random_dominant(H3, rng))] for _ in range(2)]
+    cases += [[(H2, random_dominant(H2, rng)) for _ in range(3)]]
+    for factors in cases:
+        orbits = [generate_orbit(group, lam) for group, lam in factors]
+        norms = [[o.group.inner(x, x) for x in o.elements] for o in orbits]
+        brute = blocks = golden(0)
+        for point in itertools.product(*norms):
+            brute = brute + sum((n ** p for n in point), golden(0))
+            blocks = blocks + sum(point, golden(0)) ** p
+        assert direct_product_index(factors, p).value == brute
+        assert blocks != brute
+        if p == 2 and factors is cases[0]:
+            assert (brute, blocks) == (golden(40, 40), golden(80, 80))
 
 
 def test_direct_product_index_worked_value():

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from math import prod
@@ -16,8 +19,8 @@ from horbits.errors import (
     SizeLimitError,
 )
 from horbits.geometry import _orbit_rows
-from horbits.golden import GoldenNumber, golden
-from horbits.groups import A2, H2, H3, H4, Group, Weight, _flatten, _reflect_flat, _unflatten
+from horbits.golden import GoldenNumber, _sign_pair, golden
+from horbits.groups import A1, A2, H2, H3, H4, Group, Weight, _flatten, _reflect_flat, _unflatten
 from horbits.orbits import (
     Decomposition,
     Orbit,
@@ -387,9 +390,9 @@ def test_fibonacci_seeds_list_in_exact_order(rng, group, count):
     assert _assert_exact_order(group, [_fibonacci_seed(group, rng) for _ in range(count)])
 
 
-def _ref_orbit_flats(group, seed_flat):
+def _ref_global_closure(group, seed_flat):
     """The closure under every simple reflection of every point, against one
-    global set: the reference for the graded closure of :func:`_orbit_flats`."""
+    global set: the reference for the orbit of :func:`_orbit_flats`."""
     rows = group._int_rows
     seen = {seed_flat}
     frontier = [seed_flat]
@@ -405,6 +408,20 @@ def _ref_orbit_flats(group, seed_flat):
     return seen
 
 
+def _ref_orbit_flats(group, seed_flat):
+    """The graded closure: each level reflected in every ``s_i`` with
+    ``x_i > 0``, and its repeats dropped with ``dict.fromkeys``."""
+    rows = group._int_rows
+    level = [seed_flat]
+    orbit = [seed_flat]
+    while level:
+        level = list(dict.fromkeys(
+            _reflect_flat(x, i, rows[i])
+            for x in level for i in range(group.rank) if _sign_pair(x[2 * i], x[2 * i + 1]) > 0))
+        orbit += level
+    return orbit
+
+
 def test_graded_closure_matches_the_global_search():
     # the criterion-1 seed of each of the 25 zero-pattern classes
     rng = random.Random(101)
@@ -412,12 +429,53 @@ def test_graded_closure_matches_the_global_search():
         seed = random_class_weight(group, pattern, rng)
         (flat,), denom = _flatten([seed])
         orbit = _orbit_flats(group, flat)
-        reference = _ref_orbit_flats(group, flat)
+        reference = _ref_global_closure(group, flat)
         assert isinstance(orbit, list)
         assert len(orbit) == len(set(orbit)) == size == group.orbit_size(seed)
         assert set(orbit) == reference
         elements = _unflatten(group, _element_order(reference), denom)
         assert generate_orbit(group, seed).elements == tuple(elements)
+
+
+def _closure_seed(group, rng):
+    """A dominant seed whose coordinates are zero, integers, ``a + b*tau`` or
+    fractions in both parts."""
+    coords = []
+    for _ in range(group.rank):
+        kind = rng.randrange(4)
+        if kind == 0:
+            coords.append(golden(0))
+        elif kind == 1:
+            coords.append(golden(rng.randint(1, 9)))
+        elif kind == 2:
+            coords.append(golden(rng.randint(0, 9), rng.randint(1, 9)))
+        else:
+            coords.append(golden(Fraction(rng.randint(0, 9), rng.randint(1, 7)),
+                                 Fraction(rng.randint(1, 9), rng.randint(1, 7))))
+    return group.weight(coords)
+
+
+@pytest.mark.parametrize("group, count", [(H2, 40), (H3, 30), (H4, 6)], ids=["H2", "H3", "H4"])
+def test_unique_parent_closure_matches_the_graded_closure(group, count):
+    rng = random.Random(group.rank * 211)
+    for _ in range(count):
+        seed = _closure_seed(group, rng)
+        (flat,), _ = _flatten([seed])
+        orbit = _orbit_flats(group, flat)
+        assert orbit[0] == flat
+        assert len(orbit) == len(set(orbit)) == group.orbit_size(seed)
+        assert set(orbit) == set(_ref_orbit_flats(group, flat))
+
+
+@pytest.mark.parametrize("group", [H2, H3, H4, A1, A2], ids=lambda g: g.tag)
+def test_cartan_rows_fit_the_unique_parent_rule(group):
+    # _orbit_flats relies on a path diagram: row i of the Cartan matrix touches
+    # only i - 1, i and i + 1, with every off-diagonal entry <= 0, and the
+    # entry (i, i - 1) is nonzero
+    for i, row in enumerate(group._int_rows):
+        assert {j for j, _, _ in row} <= {i - 1, i, i + 1}
+        assert all(_sign_pair(ca, cb) <= 0 for j, ca, cb in row if j != i)
+        assert i == 0 or any(j == i - 1 for j, _, _ in row)
 
 
 # coordinates of the product seeds: 1/2, tau, 1 + tau and 1, or 0
@@ -518,3 +576,72 @@ def test_product_rejects_a_non_dominant_seed():
     for orbits in ([bad, good], [good, bad]):
         with pytest.raises(NonDominantError):
             decompose_product(orbits)
+
+
+def _eager(orbit):
+    return Orbit(orbit.group, orbit.dominant, tuple(orbit.elements))
+
+
+def _count_weights(monkeypatch):
+    """A list that grows by one for each ``Weight`` built from now on."""
+    built = []
+    post_init = Weight.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Weight, "__post_init__", counted)
+    return built
+
+
+def test_orbit_length_and_rows_build_no_weight(monkeypatch):
+    seeds = [H4.parse_weight(c) for c in ("1,1,0,0", "0,0,1,1")]
+    small = [H3.weight(1, 0, 0), H3.weight(0, 1, 0)]
+    built = _count_weights(monkeypatch)
+    a, b = (generate_orbit(H4, seed) for seed in seeds)
+    assert len(a.elements) == len(a) == 1440 and len(b.elements) == 2400
+    assert not built
+    parts = decompose_product([a, b])
+    # only the dominants of the result are built
+    assert len(built) == len(parts.parts) == 255
+    del built[:]
+    assert orbit_product([generate_orbit(H3, w) for w in small]).total() == 360
+    assert not built
+    assert len(a.elements[:1]) == 1 and len(built) == 1440
+
+
+def test_lazy_orbit_compares_and_hashes_as_its_tuple():
+    for group, coords in ((H3, "1/2,0,1t"), (H4, "0,1,0,0"), (H2, "1,1")):
+        lazy = generate_orbit(group, group.parse_weight(coords))
+        eager = _eager(generate_orbit(group, group.parse_weight(coords)))
+        assert isinstance(eager.elements, tuple) and not isinstance(lazy.elements, tuple)
+        assert lazy == eager and eager == lazy
+        assert lazy.elements == eager.elements and eager.elements == lazy.elements
+        assert hash(lazy) == hash(eager) and hash(lazy.elements) == hash(eager.elements)
+        assert len({lazy, eager}) == 1
+        assert lazy != Orbit(group, lazy.dominant, eager.elements[1:])
+        # slices, reversal and membership are those of the tuple
+        assert isinstance(lazy.elements[:-1], tuple)
+        assert lazy.elements[:-1] == eager.elements[:-1]
+        assert list(reversed(lazy.elements)) == list(reversed(eager.elements))
+        assert lazy.dominant in lazy.elements and lazy.elements[0] == eager.elements[0]
+        assert repr(lazy) == repr(eager)
+
+
+def test_product_mixes_lazy_and_hand_built_orbits():
+    # denominators 6 and 1: the held rows are scaled to the shared one
+    cases = [(H3, ("1/2,0,1/3", "0,1,0")), (H3, ("1/2,1/3,0", "0,1/2,1t")),
+             (H2, ("1/3,1t", "1/2,0", "0,1/5"))]
+    for group, coords in cases:
+        lazy = [generate_orbit(group, group.parse_weight(c)) for c in coords]
+        eager = [_eager(orbit) for orbit in lazy]
+        # the reference adds Weight objects, so no flat rows are involved
+        product = WeightMultiset(group)
+        for point in itertools.product(*(orbit.elements for orbit in eager)):
+            product.add(functools.reduce(operator.add, point))
+        expected = decompose(product)
+        for mask in range(2 ** len(lazy)):
+            mixed = [lazy[k] if mask >> k & 1 else eager[k] for k in range(len(lazy))]
+            assert decompose_product(mixed) == expected
+            assert orbit_product(mixed) == product

@@ -921,6 +921,15 @@ def test_results_pickle_and_copy():
         assert clone(v) + w == v + w
         assert clone(orbit) == orbit and clone(orbit).group is H3
         assert clone(lower) == lower
+        # generated orbits hold rows: before their elements are read and after
+        for read in (False, True):
+            held = generate_orbit(H3, v)
+            if read:
+                held.elements[0]
+            y = clone(held)
+            assert len(y.elements) == 60 and isinstance(y.elements[:2], tuple)
+            assert y == held and held == y and hash(y) == hash(held)
+            assert y.elements == orbit.elements and y.elements[0].group is H3
 
 
 _DOT_NODE = re.compile(r'  (n\d+) \[label="\((.*)\)"( color=gray fontcolor=gray)?\];')
