@@ -18,7 +18,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import MAX_TREE_NODES, DomainError, _write_text
-from .golden import golden
+from .golden import _sign_pair, golden
 from .groups import Group, Weight, _flatten, _unflatten
 from .orbits import _orbit_flats, _pair_ranks
 from .weightsys import (
@@ -26,7 +26,6 @@ from .weightsys import (
     _adj_times,
     _distinct_rows,
     _json_list,
-    _new_rows,
     _step_matrices,
     weight_system_dominants,
 )
@@ -80,26 +79,31 @@ def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:
     Each orbit is in the element order of
     :func:`horbits.orbits.generate_orbit` (coordinates descending, compared
     exactly), and the orbits follow ``flats``.
-    All orbits are searched together, one vectorized level at a time: a
-    simple reflection fixes an orbit point or moves it one level up or
-    down, so a level's new points are its images minus the level before.
+    All orbits are searched together, one vectorized level at a time, and
+    each point is generated once, from its unique parent, by the rule of
+    :func:`horbits.orbits._orbit_flats`.
     For a few shells the per-orbit search of ``generate_orbit`` is faster;
     this one pays off on the tens to thousands of shells of larger seeds.
     """
     # column 0 numbers the orbit, and no reflection changes it
     U, V = (np.pad(M, ((0, 0), (1, 0))) for M in _step_matrices(group))
     level = np.array([(k, *flat) for k, flat in enumerate(flats)], dtype=np.int64)
+    first = np.full(len(level), group.rank)  # least negative index; seeds have none
+    steps = np.arange(group.rank)
     levels = [level]
-    previous = level[:0]
     while len(level):
-        images = []
-        for i in range(group.rank):
-            a, b = level[:, 1 + 2 * i], level[:, 2 + 2 * i]
-            moved = (a != 0) | (b != 0)
-            images.append(level[moved] - a[moved, None] * U[i] - b[moved, None] * V[i])
-        images = np.concatenate(images)
-        # orbits are disjoint, so a point's coordinates alone identify it
-        previous, level = level, images[_new_rows(images[:, 1:], previous[:, 1:])]
+        # each s_i x with i < f and x_i != 0, and s_{f+1} x
+        nonzero = (level[:, 1::2] != 0) | (level[:, 2::2] != 0)
+        parent, step = np.nonzero((first[:, None] > steps) & nonzero
+                                  | (first[:, None] == steps - 1))
+        a, b = level[parent, 1 + 2 * step], level[parent, 2 + 2 * step]
+        level = level[parent] - a[:, None] * U[step] - b[:, None] * V[step]
+        # s_i x is a child if its coordinate i - 1 is >= 0, untested for i < f
+        keep = first[parent] != step - 1
+        tested = np.flatnonzero(~keep)
+        pairs, inverse = _distinct_rows(level[tested[:, None], 2 * step[tested, None] + [-1, 0]])
+        keep[tested] = np.array([_sign_pair(*p) >= 0 for p in pairs.tolist()], dtype=bool)[inverse]
+        level, first = level[keep], step[keep]
         levels.append(level)
     rows = np.concatenate(levels)
     # generate_orbit's order: exact ranks of the few distinct coordinates, descending

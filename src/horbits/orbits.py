@@ -219,6 +219,8 @@ class WeightMultiset:
     def add(self, w: Weight, count: int = 1):
         if w.group is not self.group:
             raise GroupMismatchError("cannot mix groups in one multiset")
+        if not isinstance(count, int) or count < 1:
+            raise DomainError(f"multiset count {count!r} is not a positive integer")
         tally = self.tally
         tally[w] = tally.get(w, 0) + count
 
@@ -336,6 +338,8 @@ def decompose(multiset: WeightMultiset) -> Decomposition:
     out = Decomposition(group)
     covered = 0
     for w, count in multiset.tally.items():
+        if not isinstance(count, int) or count < 1:
+            raise MalformedMultisetError(f"count {count!r} of {w} is not a positive integer")
         if w.is_dominant:
             out.add(w, count)
             covered += count * group.orbit_size(w)

@@ -168,6 +168,20 @@ def test_decompose_rejects_partial_orbit():
         decompose(broken)
 
 
+@pytest.mark.parametrize("count", [0, -1, 2.5, Fraction(3, 2), "1"])
+def test_multiset_counts_are_positive_integers(count):
+    multiset = generate_orbit(H3, H3.weight(1, 0, 0)).multiset()
+    with pytest.raises(DomainError, match="positive integer"):
+        multiset.add(H3.weight(0, 0, 1), count)
+    assert decompose(multiset).sorted_parts() == [(H3.weight(1, 0, 0), 1)]
+    # a hand-built tally, and one mutated after it was built
+    with pytest.raises(MalformedMultisetError, match="positive integer"):
+        decompose(WeightMultiset(H3, {H3.weight(0, 0, 1): count}))
+    multiset.tally[H3.weight(0, 0, 1)] = count
+    with pytest.raises(MalformedMultisetError, match="positive integer"):
+        decompose(multiset)
+
+
 def test_streaming_matches_materialized(rng):
     for group, n_trials in ((H2, 6), (H3, 3)):
         for _ in range(n_trials):
@@ -458,13 +472,19 @@ def _closure_seed(group, rng):
 @pytest.mark.parametrize("group, count", [(H2, 40), (H3, 30), (H4, 6)], ids=["H2", "H3", "H4"])
 def test_unique_parent_closure_matches_the_graded_closure(group, count):
     rng = random.Random(group.rank * 211)
-    for _ in range(count):
-        seed = _closure_seed(group, rng)
-        (flat,), _ = _flatten([seed])
+    seeds = [_closure_seed(group, rng) for _ in range(count)]
+    flats, _ = _flatten(seeds)
+    # the batched search takes all seeds at once, by the same unique-parent rule
+    rows, sizes = _orbit_rows(group, flats)
+    assert sizes == [group.orbit_size(seed) for seed in seeds]
+    for flat, size, end in zip(flats, sizes, itertools.accumulate(sizes)):
         orbit = _orbit_flats(group, flat)
         assert orbit[0] == flat
-        assert len(orbit) == len(set(orbit)) == group.orbit_size(seed)
+        assert len(orbit) == len(set(orbit)) == size
         assert set(orbit) == set(_ref_orbit_flats(group, flat))
+        batched = list(map(tuple, rows[end - size:end].tolist()))
+        assert len(set(batched)) == size
+        assert batched == _element_order(orbit)
 
 
 @pytest.mark.parametrize("group", [H2, H3, H4, A1, A2], ids=lambda g: g.tag)
