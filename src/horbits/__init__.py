@@ -1,42 +1,12 @@
 """Exact orbits, indices and nested polytopes of the Coxeter groups H2, H3, H4."""
 
-from .errors import (
-    DomainError,
-    GroupMismatchError,
-    MalformedMultisetError,
-    NonDominantError,
-    SizeLimitError,
-)
+# each eager module lists its public names once, in its __all__
+from . import errors, groups, indices, orbits
+from .errors import *
 from .golden import GoldenNumber, ONE, TAU, TAU_PRIME, ZERO, golden, parse_golden
-from .groups import A1, A2, GROUPS, H2, H3, H4, Group, Weight, get_group
-from .orbits import (
-    Decomposition,
-    Orbit,
-    WeightMultiset,
-    decompose,
-    decompose_product,
-    generate_orbit,
-    orbit_product,
-    orbit_sum,
-)
-from .indices import (
-    BranchLayer,
-    BranchingRule,
-    IndexValue,
-    anomaly_number,
-    anomaly_number_normalized,
-    axis_directions,
-    branch_decompose,
-    branch_layers,
-    branching_rule,
-    default_direction,
-    direct_product_index,
-    embedding_index,
-    embedding_index_by_rank,
-    even_index,
-    multiset_even_index,
-    subgroup_rank,
-)
+from .groups import *
+from .orbits import *
+from .indices import *
 
 __version__ = "0.1.0"
 
@@ -54,16 +24,8 @@ _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in (mod
 
 __all__ = [
     "errors", "groups", "orbits", "indices",
-    "DomainError", "GroupMismatchError", "MalformedMultisetError", "NonDominantError",
-    "SizeLimitError",
+    *errors.__all__, *groups.__all__, *orbits.__all__, *indices.__all__,
     "GoldenNumber", "ONE", "TAU", "TAU_PRIME", "ZERO", "golden", "parse_golden",
-    "A1", "A2", "GROUPS", "H2", "H3", "H4", "Group", "Weight", "get_group",
-    "Decomposition", "Orbit", "WeightMultiset", "decompose", "decompose_product",
-    "generate_orbit", "orbit_product", "orbit_sum",
-    "BranchLayer", "BranchingRule", "IndexValue", "anomaly_number",
-    "anomaly_number_normalized", "axis_directions", "branch_decompose", "branch_layers",
-    "branching_rule", "default_direction", "direct_product_index", "embedding_index",
-    "embedding_index_by_rank", "even_index", "multiset_even_index", "subgroup_rank",
     *_LAZY_MODULE,
 ]
 

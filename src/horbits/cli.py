@@ -12,7 +12,6 @@ import os
 import sys
 
 from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError, _write_text
-from .golden import parse_golden
 from .groups import Group, Weight, _unflatten, get_group
 from .indices import (
     anomaly_number,
@@ -126,7 +125,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.run(args)
+        code = args.run(args, get_group(args.group))
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -145,8 +144,7 @@ def main(argv=None) -> int:
         return 3
 
 
-def _cmd_orbit(args) -> int:
-    group = get_group(args.group)
+def _cmd_orbit(args, group: Group) -> int:
     seed = _parse_coords(group, args.coords)
     orbit = generate_orbit(group, seed)
     if args.format == "text":
@@ -170,18 +168,15 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
-def _cmd_index(args) -> int:
-    group = get_group(args.group)
+def _cmd_index(args, group: Group) -> int:
     seed = _parse_coords(group, args.coords)
     if args.degree < 0 or args.degree % 2:
         raise _UsageError("--degree must be even and >= 0")
-    value = even_index(group, seed, args.degree // 2).value
-    print(f"{value} ({float(value)!r})")
+    print(even_index(group, seed, args.degree // 2))
     return 0
 
 
-def _cmd_product(args) -> int:
-    group = get_group(args.group)
+def _cmd_product(args, group: Group) -> int:
     if len(args.coords) < 2:
         raise _UsageError("product needs at least two orbits")
     orbits = [generate_orbit(group, _parse_coords(group, c)) for c in args.coords]
@@ -199,8 +194,7 @@ def _cmd_product(args) -> int:
     return 0
 
 
-def _cmd_anomaly(args) -> int:
-    group = get_group(args.group)
+def _cmd_anomaly(args, group: Group) -> int:
     seed = _parse_coords(group, args.coords)
     if args.degree < 1 or args.degree % 2 == 0:
         raise _UsageError("--degree must be odd and positive")
@@ -208,37 +202,31 @@ def _cmd_anomaly(args) -> int:
         direction = _parse_coords(group, args.direction)
     else:
         direction = default_direction(group)
-    value = anomaly_number(group, seed, direction, args.degree).value
-    print(f"{value} ({float(value)!r})")
+    print(anomaly_number(group, seed, direction, args.degree))
     return 0
 
 
-def _cmd_branch(args) -> int:
-    group = get_group(args.group)
-    rule = branching_rule(group, get_group(args.subgroup))
+def _cmd_branch(args, group: Group) -> int:
+    rule = branching_rule(group, args.subgroup)
     seed = _parse_coords(group, args.coords)
     for layer in branch_layers(group, rule, seed):
         print(f"{layer.height} {layer.child_dominant.text()} x{layer.count}")
     return 0
 
 
-def _cmd_embed_index(args) -> int:
-    group = get_group(args.group)
+def _cmd_embed_index(args, group: Group) -> int:
     if args.orbit_coords is not None:
-        rule = branching_rule(group, get_group(args.subgroup))
+        rule = branching_rule(group, args.subgroup)
         seed = _parse_coords(group, args.orbit_coords)
-        value = embedding_index(group, rule, seed)
-        print(str(value))
+        print(embedding_index(group, rule, seed))
         return 0
-    rank = subgroup_rank(args.subgroup)
-    print(str(embedding_index_by_rank(group, rank)))
+    print(embedding_index_by_rank(group, subgroup_rank(args.subgroup)))
     return 0
 
 
-def _cmd_lower_orbits(args) -> int:
+def _cmd_lower_orbits(args, group: Group) -> int:
     from .weightsys import build_tree, tree_to_dot, tree_to_json, weight_system_dominants
 
-    group = get_group(args.group)
     seed = _parse_coords(group, args.coords)
     max_nodes = _max_nodes(args)
     if args.dot or args.json_path:
@@ -255,10 +243,9 @@ def _cmd_lower_orbits(args) -> int:
     return 0
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args, group: Group) -> int:
     from .geometry import export_json, export_obj, nested_polyhedra
 
-    group = get_group(args.group)
     seed = _parse_coords(group, args.coords)
     poly = nested_polyhedra(group, seed, max_nodes=_max_nodes(args))
     if args.format == "obj":

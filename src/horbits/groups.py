@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .errors import DomainError, GroupMismatchError
+from .errors import DomainError, GroupMismatchError, NonDominantError
 from .golden import GoldenNumber, ONE, TAU, ZERO, _pair_pow, _sign_pair, parse_golden
 
 __all__ = [
@@ -433,9 +433,7 @@ class Group:
         coordinates; the diagram being a path, the stabilizer order is a
         product over consecutive runs of zeros.
         """
-        self._own(dominant)
-        if not dominant.is_dominant:
-            raise DomainError(f"{dominant} is not dominant")
+        self._own_dominant(dominant)
         return self._orbit_size_of_zeros([not c for c in dominant.coords])
 
     def _orbit_size_of_zeros(self, zeros) -> int:
@@ -456,6 +454,12 @@ class Group:
     def _own(self, w: Weight):
         if w.group is not self:
             raise GroupMismatchError(f"weight of {w.group.tag} passed to {self.tag}")
+
+    def _own_dominant(self, w: Weight):
+        """The entry check of every function that starts from a dominant seed."""
+        self._own(w)
+        if not w.is_dominant:
+            raise NonDominantError(f"{w} is not dominant")
 
 
 _T = TAU

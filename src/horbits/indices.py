@@ -23,13 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, GroupMismatchError, NonDominantError
+from .errors import DomainError, GroupMismatchError
 from .golden import GoldenNumber, ONE, TAU, ZERO, _pair_pow, _sign_pair
 from .groups import A1, A2, Group, H2, H3, Weight, _flatten, _pair_dot, _unflatten, get_group
 from .orbits import (
     Decomposition,
     WeightMultiset,
-    _check_orbit_seed,
     _element_order,
     _flat_orbit_size,
     _norm_order,
@@ -71,9 +70,7 @@ class IndexValue:
 
 def even_index(group: Group, dominant: Weight, p: int) -> IndexValue:
     """Index of order 2p of one orbit: ``|O| * <lambda,lambda>**p``."""
-    group._own(dominant)
-    if not dominant.is_dominant:
-        raise NonDominantError(f"{dominant} is not dominant")
+    group._own_dominant(dominant)
     if p < 0:
         raise DomainError("even index needs p >= 0")
     size = GoldenNumber(group.orbit_size(dominant))
@@ -132,9 +129,7 @@ def direct_product_index(factors, p: int) -> IndexValue:
     sizes = 1
     norm_sum = ZERO
     for group, dominant in factors:
-        group._own(dominant)
-        if not dominant.is_dominant:
-            raise NonDominantError(f"{dominant} is not dominant")
+        group._own_dominant(dominant)
         sizes *= group.orbit_size(dominant)
         norm_sum = norm_sum + group.inner(dominant, dominant) ** p
     return IndexValue(GoldenNumber(sizes) * norm_sum, 2 * p)
@@ -147,10 +142,8 @@ def direct_product_index(factors, p: int) -> IndexValue:
 def default_direction(group: Group) -> Weight:
     """The built-in projection direction used when none is given."""
     if group is H2:
-        return H2.weight("-1t", "1t")
-    return Weight(group, tuple(
-        GoldenNumber(1 if i == 0 else 0) for i in range(group.rank)
-    ))
+        return _RULES["H2", "A1"].direction
+    return axis_directions(group)[0]
 
 
 def axis_directions(group: Group) -> tuple[Weight, ...]:
@@ -176,14 +169,12 @@ def anomaly_number(group: Group, dominant: Weight, direction: Weight,
     Every Coxeter degree of H3 and H4 is even, so ``-1`` is in W, every
     orbit is ``O = -O``, and the sum is 0 there without enumeration.
     """
-    group._own(dominant)
+    group._own_dominant(dominant)
     group._own(direction)
     if direction.is_zero:
         raise DomainError("direction must be nonzero")
     if degree < 1 or degree % 2 == 0:
         raise DomainError("anomaly degree must be odd and positive")
-    if not dominant.is_dominant:
-        raise NonDominantError(f"{dominant} is not dominant")
     if group.tag in ("H3", "H4"):
         return IndexValue(ZERO, degree)
     (seed, v), denom = _flatten([dominant, direction])
@@ -270,7 +261,7 @@ def branch_decompose(group: Group, rule: BranchingRule, dominant: Weight) -> Dec
     :func:`generate_orbit`, which fixes the order of ``parts``.
     """
     _check_rule(group, rule)
-    _check_orbit_seed(group, dominant)
+    group._own_dominant(dominant)
     rows, scale = _int_projection(rule)
     (seed,), denom = _flatten([dominant])
     orbit = _orbit_flats(group, seed)
@@ -317,7 +308,7 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
     group._own(direction)
     if direction.is_zero:
         raise DomainError("direction must be nonzero")
-    _check_orbit_seed(group, dominant)
+    group._own_dominant(dominant)
     rows, scale = _int_projection(rule)
     (seed, v), denom = _flatten([dominant, direction])
     u = group._adj_flat(v)

@@ -21,13 +21,7 @@ from functools import cached_property, cmp_to_key
 from math import lcm, prod
 from operator import add
 
-from .errors import (
-    DomainError,
-    GroupMismatchError,
-    MalformedMultisetError,
-    NonDominantError,
-    SizeLimitError,
-)
+from .errors import DomainError, GroupMismatchError, MalformedMultisetError, SizeLimitError
 from .golden import GoldenNumber, _sign_pair, _value_numerator
 from .groups import Group, Weight, _flatten, _RecordList, _reflect_flat, _unflatten
 
@@ -187,6 +181,14 @@ class Orbit:
         return WeightMultiset(self.group, {w: 1 for w in self.elements})
 
 
+def _check_counts(items) -> None:
+    """The count contract of a multiset: every count of its ``(weight,
+    count)`` items is a positive integer."""
+    for w, count in items:
+        if not isinstance(count, int) or count < 1:
+            raise MalformedMultisetError(f"count {count!r} of {w} is not a positive integer")
+
+
 class WeightMultiset:
     """A tally of weights of one group (weight -> positive count).
 
@@ -199,6 +201,7 @@ class WeightMultiset:
         self.group = group
         self._tally = {} if tally is None else tally
         self._rows: tuple[dict[tuple[int, ...], int], int] | None = None
+        _check_counts(self._tally.items())
 
     @property
     def tally(self) -> dict[Weight, int]:
@@ -213,14 +216,14 @@ class WeightMultiset:
         if self._rows is not None:
             rows, denom = self._rows
             return list(rows), rows.values(), denom
+        _check_counts(self._tally.items())
         flats, denom = _flatten(self._tally)
         return flats, self._tally.values(), denom
 
     def add(self, w: Weight, count: int = 1):
         if w.group is not self.group:
             raise GroupMismatchError("cannot mix groups in one multiset")
-        if not isinstance(count, int) or count < 1:
-            raise DomainError(f"multiset count {count!r} is not a positive integer")
+        _check_counts([(w, count)])
         tally = self.tally
         tally[w] = tally.get(w, 0) + count
 
@@ -258,10 +261,12 @@ class Decomposition:
 # operations
 
 
-def _check_orbit_seed(group: Group, dominant: Weight) -> None:
-    group._own(dominant)
-    if not dominant.is_dominant:
-        raise NonDominantError(f"orbit seed {dominant} is not dominant")
+def _one_group(orbits, name: str) -> Group:
+    """The group of a nonempty list of orbits, which every orbit must share."""
+    group = orbits[0].group
+    if any(orbit.group is not group for orbit in orbits):
+        raise GroupMismatchError(f"{name} requires a single group")
+    return group
 
 
 def generate_orbit(group: Group, dominant: Weight) -> Orbit:
@@ -271,7 +276,7 @@ def generate_orbit(group: Group, dominant: Weight) -> Orbit:
     is known at once, and its ``Weight`` tuple, in element order, is built
     on the first read of an item.  Products read the rows directly.
     """
-    _check_orbit_seed(group, dominant)
+    group._own_dominant(dominant)
     (seed,), denom = _flatten([dominant])
     rows = _orbit_flats(group, seed)
     return Orbit(group, dominant, _RecordList(_OrbitRows(group, rows, denom), "elements", len(rows)))
@@ -282,11 +287,8 @@ def orbit_sum(orbits) -> WeightMultiset:
     orbits = list(orbits)
     if not orbits:
         raise DomainError("orbit_sum of an empty list")
-    group = orbits[0].group
-    out = WeightMultiset(group)
+    out = WeightMultiset(_one_group(orbits, "orbit_sum"))
     for orbit in orbits:
-        if orbit.group is not group:
-            raise GroupMismatchError("orbit_sum requires a single group")
         for w in orbit.elements:
             out.add(w)
     return out
@@ -303,12 +305,8 @@ def orbit_product(orbits, max_points: int = MAX_MATERIALIZED_POINTS) -> WeightMu
     orbits = list(orbits)
     if len(orbits) < 2:
         raise DomainError("orbit_product needs at least two orbits")
-    group = orbits[0].group
-    total = 1
-    for orbit in orbits:
-        if orbit.group is not group:
-            raise GroupMismatchError("orbit_product requires a single group")
-        total *= len(orbit.elements)
+    group = _one_group(orbits, "orbit_product")
+    total = prod(len(orbit.elements) for orbit in orbits)
     if total > max_points:
         raise SizeLimitError(
             f"product has {total} points (> {max_points}); use decompose_product"
@@ -336,10 +334,9 @@ def decompose(multiset: WeightMultiset) -> Decomposition:
     """
     group = multiset.group
     out = Decomposition(group)
+    _check_counts(multiset.tally.items())
     covered = 0
     for w, count in multiset.tally.items():
-        if not isinstance(count, int) or count < 1:
-            raise MalformedMultisetError(f"count {count!r} of {w} is not a positive integer")
         if w.is_dominant:
             out.add(w, count)
             covered += count * group.orbit_size(w)
@@ -410,11 +407,9 @@ def decompose_product(orbits) -> Decomposition:
     orbits = list(orbits)
     if len(orbits) < 2:
         raise DomainError("decompose_product needs at least two orbits")
-    group = orbits[0].group
+    group = _one_group(orbits, "decompose_product")
     for orbit in orbits:
-        if orbit.group is not group:
-            raise GroupMismatchError("decompose_product requires a single group")
-        _check_orbit_seed(group, orbit.dominant)
+        group._own_dominant(orbit.dominant)
     first, second = sorted(orbits[:2], key=len, reverse=True)
     iterated = [second, *orbits[2:]]
     for orbit in iterated:

@@ -31,13 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    MAX_TREE_NODES,
-    _RAISE_MAX_NODES,
-    DomainError,
-    NonDominantError,
-    SizeLimitError,
-)
+from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError, SizeLimitError
 from .golden import GoldenNumber, TAU
 from .groups import Group, Weight, H3, _flatten, _RecordDict, _RecordList, _Records, _unflatten
 from .orbits import _norm_order
@@ -201,13 +195,11 @@ def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
 
 
 def _check_args(group: Group, seed: Weight, max_nodes: int) -> None:
+    group._own_dominant(seed)
     if not isinstance(max_nodes, int) or isinstance(max_nodes, bool) or max_nodes < 1:
         raise DomainError(f"max_nodes must be an int >= 1, got {max_nodes!r}")
-    group._own(seed)
     if group.tag not in _TREE_GROUPS:
         raise DomainError(f"weight systems are generated for {_TREE_GROUPS} only")
-    if not seed.is_dominant:
-        raise NonDominantError(f"seed {seed} is not dominant")
     if seed.is_zero:
         raise DomainError("seed must be nonzero")
     if not seed.is_ztau:

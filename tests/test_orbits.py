@@ -18,9 +18,20 @@ from horbits.errors import (
     NonDominantError,
     SizeLimitError,
 )
-from horbits.geometry import _orbit_rows
+from horbits.geometry import _orbit_rows, nested_polyhedra
 from horbits.golden import GoldenNumber, _sign_pair, golden
 from horbits.groups import A1, A2, H2, H3, H4, Group, Weight, _flatten, _reflect_flat, _unflatten
+from horbits.indices import (
+    anomaly_number,
+    branch_decompose,
+    branch_layers,
+    branching_rule,
+    default_direction,
+    direct_product_index,
+    embedding_index,
+    even_index,
+    multiset_even_index,
+)
 from horbits.orbits import (
     Decomposition,
     Orbit,
@@ -35,6 +46,7 @@ from horbits.orbits import (
     _orbit_flats,
     _pair_ranks,
 )
+from horbits.weightsys import build_tree, weight_system_dominants
 
 
 @pytest.mark.parametrize("coords,size", [
@@ -62,6 +74,32 @@ def test_zero_orbit_is_singleton():
 def test_orbit_rejects_non_dominant():
     with pytest.raises(NonDominantError):
         generate_orbit(H2, H2.weight(-1, 2))
+
+
+_H3_BAD = H3.weight(1, -1, 0)
+_H3_TO_H2 = branching_rule("H3", "H2")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: H3.orbit_size(_H3_BAD),
+    lambda: generate_orbit(H3, _H3_BAD),
+    lambda: decompose_product([generate_orbit(H3, H3.weight(0, 0, 1)),
+                               Orbit(H3, _H3_BAD, (_H3_BAD,))]),
+    lambda: even_index(H3, _H3_BAD, 1),
+    lambda: direct_product_index([(H2, H2.weight(1, 1)), (H3, _H3_BAD)], 1),
+    lambda: anomaly_number(H2, H2.weight(1, -1), default_direction(H2), 3),
+    lambda: branch_decompose(H3, _H3_TO_H2, _H3_BAD),
+    lambda: branch_layers(H3, _H3_TO_H2, _H3_BAD),
+    lambda: embedding_index(H3, _H3_TO_H2, _H3_BAD),
+    lambda: build_tree(H3, _H3_BAD),
+    lambda: weight_system_dominants(H3, _H3_BAD),
+    lambda: nested_polyhedra(H3, _H3_BAD),
+], ids=["orbit_size", "generate_orbit", "decompose_product", "even_index",
+        "direct_product_index", "anomaly_number", "branch_decompose", "branch_layers",
+        "embedding_index", "build_tree", "weight_system_dominants", "nested_polyhedra"])
+def test_every_seed_entry_rejects_a_non_dominant_seed(call):
+    with pytest.raises(NonDominantError, match=r"\) is not dominant$"):
+        call()
 
 
 def test_orbit_equal_norm_and_zero_sum(rng):
@@ -180,6 +218,10 @@ def test_multiset_counts_are_positive_integers(count):
     multiset.tally[H3.weight(0, 0, 1)] = count
     with pytest.raises(MalformedMultisetError, match="positive integer"):
         decompose(multiset)
+    with pytest.raises(MalformedMultisetError, match="positive integer"):
+        multiset_even_index(multiset, 1)
+    with pytest.raises(MalformedMultisetError, match="positive integer"):
+        WeightMultiset(H3, {H3.weight(1, 0, 0): count})
 
 
 def test_streaming_matches_materialized(rng):
