@@ -36,6 +36,12 @@ class MalformedMultisetError(DomainError):
     """A weight multiset is not a union of whole orbits."""
 
 
+def _check_int(value, name: str, least: int) -> None:
+    """The int-argument contract: an ``int``, not a ``bool``, at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def _write_text(path, parts) -> None:
     """Write a text file from an iterable of parts.
 

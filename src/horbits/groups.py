@@ -236,13 +236,11 @@ def _invert(matrix: tuple[tuple[GoldenNumber, ...], ...]):
 
 
 def _path_order(length: int, labels: tuple[int, ...]) -> int:
-    """Order of the reflection group whose diagram is a path.
+    """Order of the reflection group whose diagram is a path of ``length >= 1`` nodes.
 
     ``labels`` are the consecutive edge labels (3 or 5).  Covers every
     connected sub-diagram arising inside H2, H3, H4, A1, A2.
     """
-    if length == 0:
-        return 1
     if length == 1:
         return 2
     if 5 in labels:
@@ -391,11 +389,8 @@ class Group:
         self._own(x)
         if not 1 <= i <= self.rank:
             raise DomainError(f"root index {i} out of range for {self.tag}")
-        xi = x.coords[i - 1]
-        if not xi:
-            return x
-        row = self.cartan[i - 1]
-        return Weight(self, tuple(c - xi * row[j] for j, c in enumerate(x.coords)))
+        (flat,), denom = _flatten([x])
+        return _unflatten(self, [_reflect_flat(flat, i - 1, self._int_rows[i - 1])], denom)[0]
 
     def to_dominant(self, x: Weight) -> tuple[Weight, int]:
         """Reflect into the dominant chamber.
@@ -460,6 +455,12 @@ class Group:
         self._own(w)
         if not w.is_dominant:
             raise NonDominantError(f"{w} is not dominant")
+
+    def _own_direction(self, v: Weight):
+        """The entry check of every function that takes a direction."""
+        self._own(v)
+        if v.is_zero:
+            raise DomainError("direction must be nonzero")
 
 
 _T = TAU

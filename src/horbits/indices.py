@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, GroupMismatchError
+from .errors import DomainError, GroupMismatchError, _check_int
 from .golden import GoldenNumber, ONE, TAU, ZERO, _pair_pow, _sign_pair
 from .groups import A1, A2, Group, H2, H3, Weight, _flatten, _pair_dot, _unflatten, get_group
 from .orbits import (
@@ -71,8 +71,7 @@ class IndexValue:
 def even_index(group: Group, dominant: Weight, p: int) -> IndexValue:
     """Index of order 2p of one orbit: ``|O| * <lambda,lambda>**p``."""
     group._own_dominant(dominant)
-    if p < 0:
-        raise DomainError("even index needs p >= 0")
+    _check_int(p, "p", 0)
     size = GoldenNumber(group.orbit_size(dominant))
     return IndexValue(size * group.inner(dominant, dominant) ** p, 2 * p)
 
@@ -88,8 +87,7 @@ def multiset_even_index(multiset: WeightMultiset, p: int) -> IndexValue:
     first call; each distinct norm is raised to ``p`` once, and the total is
     divided by ``(det * D**2)**p`` once at the end.
     """
-    if p < 0:
-        raise DomainError("even index needs p >= 0")
+    _check_int(p, "p", 0)
     from .weightsys import _adj_arrays, _det_norms
 
     group = multiset.group
@@ -115,24 +113,19 @@ def direct_product_index(factors, p: int) -> IndexValue:
 
     ``factors`` is a sequence of (group, dominant) pairs.  The value is the
     sum, over the points ``(x_1, ..., x_k)`` of the product, of
-    ``sum_j <x_j, x_j>**p``: the index of each factor, counted once per point
-    of the others, ``sum_j (prod_{i != j} |O_i|) * I_2p(O_j)``, which is
-    ``prod |O_i| * sum_j <lambda_j, lambda_j>**p``.  It is not the power sum
-    ``(sum_j <x_j, x_j>)**p`` of the block-diagonal inner product, which
-    differs for ``p >= 2``.
+    ``sum_j <x_j, x_j>**p``: the even index of each factor, counted once per
+    point of the others, ``sum_j (prod_{i != j} |O_i|) * I_2p(O_j)``.  It is
+    not the power sum ``(sum_j <x_j, x_j>)**p`` of the block-diagonal inner
+    product, which differs for ``p >= 2``.
     """
     factors = list(factors)
     if not factors:
         raise DomainError("direct_product_index needs at least one factor")
-    if p < 0:
-        raise DomainError("even index needs p >= 0")
-    sizes = 1
-    norm_sum = ZERO
-    for group, dominant in factors:
-        group._own_dominant(dominant)
-        sizes *= group.orbit_size(dominant)
-        norm_sum = norm_sum + group.inner(dominant, dominant) ** p
-    return IndexValue(GoldenNumber(sizes) * norm_sum, 2 * p)
+    indices = [even_index(group, dominant, p).value for group, dominant in factors]
+    sizes = [group.orbit_size(dominant) for group, dominant in factors]
+    total = math.prod(sizes)
+    return IndexValue(sum((index * (total // size) for index, size in zip(indices, sizes)),
+                          ZERO), 2 * p)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +163,10 @@ def anomaly_number(group: Group, dominant: Weight, direction: Weight,
     orbit is ``O = -O``, and the sum is 0 there without enumeration.
     """
     group._own_dominant(dominant)
-    group._own(direction)
-    if direction.is_zero:
-        raise DomainError("direction must be nonzero")
-    if degree < 1 or degree % 2 == 0:
-        raise DomainError("anomaly degree must be odd and positive")
+    group._own_direction(direction)
+    _check_int(degree, "degree", 1)
+    if degree % 2 == 0:
+        raise DomainError(f"degree must be odd, got {degree}")
     if group.tag in ("H3", "H4"):
         return IndexValue(ZERO, degree)
     (seed, v), denom = _flatten([dominant, direction])
@@ -305,9 +297,7 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
     _check_rule(group, rule)
     if direction is None:
         direction = rule.direction or default_direction(group)
-    group._own(direction)
-    if direction.is_zero:
-        raise DomainError("direction must be nonzero")
+    group._own_direction(direction)
     group._own_dominant(dominant)
     rows, scale = _int_projection(rule)
     (seed, v), denom = _flatten([dominant, direction])

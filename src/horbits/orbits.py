@@ -181,14 +181,6 @@ class Orbit:
         return WeightMultiset(self.group, {w: 1 for w in self.elements})
 
 
-def _check_counts(items) -> None:
-    """The count contract of a multiset: every count of its ``(weight,
-    count)`` items is a positive integer."""
-    for w, count in items:
-        if not isinstance(count, int) or count < 1:
-            raise MalformedMultisetError(f"count {count!r} of {w} is not a positive integer")
-
-
 class WeightMultiset:
     """A tally of weights of one group (weight -> positive count).
 
@@ -201,7 +193,16 @@ class WeightMultiset:
         self.group = group
         self._tally = {} if tally is None else tally
         self._rows: tuple[dict[tuple[int, ...], int], int] | None = None
-        _check_counts(self._tally.items())
+        self._check(self._tally.items())
+
+    def _check(self, items) -> None:
+        """The multiset contract: every weight of the ``(weight, count)``
+        items belongs to the multiset's group, and every count is a positive
+        integer."""
+        for w, count in items:
+            self.group._own(w)
+            if not isinstance(count, int) or count < 1:
+                raise MalformedMultisetError(f"count {count!r} of {w} is not a positive integer")
 
     @property
     def tally(self) -> dict[Weight, int]:
@@ -216,14 +217,12 @@ class WeightMultiset:
         if self._rows is not None:
             rows, denom = self._rows
             return list(rows), rows.values(), denom
-        _check_counts(self._tally.items())
+        self._check(self._tally.items())
         flats, denom = _flatten(self._tally)
         return flats, self._tally.values(), denom
 
     def add(self, w: Weight, count: int = 1):
-        if w.group is not self.group:
-            raise GroupMismatchError("cannot mix groups in one multiset")
-        _check_counts([(w, count)])
+        self._check([(w, count)])
         tally = self.tally
         tally[w] = tally.get(w, 0) + count
 
@@ -261,8 +260,10 @@ class Decomposition:
 # operations
 
 
-def _one_group(orbits, name: str) -> Group:
-    """The group of a nonempty list of orbits, which every orbit must share."""
+def _one_group(orbits, name: str, least: int) -> Group:
+    """The group of a list of at least ``least`` orbits, which every orbit must share."""
+    if len(orbits) < least:
+        raise DomainError(f"{name} needs at least {least} orbit{'s' if least > 1 else ''}")
     group = orbits[0].group
     if any(orbit.group is not group for orbit in orbits):
         raise GroupMismatchError(f"{name} requires a single group")
@@ -285,9 +286,7 @@ def generate_orbit(group: Group, dominant: Weight) -> Orbit:
 def orbit_sum(orbits) -> WeightMultiset:
     """Multiset union of the element sets of the given orbits."""
     orbits = list(orbits)
-    if not orbits:
-        raise DomainError("orbit_sum of an empty list")
-    out = WeightMultiset(_one_group(orbits, "orbit_sum"))
+    out = WeightMultiset(_one_group(orbits, "orbit_sum", 1))
     for orbit in orbits:
         for w in orbit.elements:
             out.add(w)
@@ -303,9 +302,7 @@ def orbit_product(orbits, max_points: int = MAX_MATERIALIZED_POINTS) -> WeightMu
     should go through :func:`decompose_product` instead.
     """
     orbits = list(orbits)
-    if len(orbits) < 2:
-        raise DomainError("orbit_product needs at least two orbits")
-    group = _one_group(orbits, "orbit_product")
+    group = _one_group(orbits, "orbit_product", 2)
     total = prod(len(orbit.elements) for orbit in orbits)
     if total > max_points:
         raise SizeLimitError(
@@ -334,7 +331,7 @@ def decompose(multiset: WeightMultiset) -> Decomposition:
     """
     group = multiset.group
     out = Decomposition(group)
-    _check_counts(multiset.tally.items())
+    multiset._check(multiset.tally.items())
     covered = 0
     for w, count in multiset.tally.items():
         if w.is_dominant:
@@ -405,9 +402,7 @@ def decompose_product(orbits) -> Decomposition:
     ``sum(mult * |O_nu|) == prod |O_i|`` is checked.
     """
     orbits = list(orbits)
-    if len(orbits) < 2:
-        raise DomainError("decompose_product needs at least two orbits")
-    group = _one_group(orbits, "decompose_product")
+    group = _one_group(orbits, "decompose_product", 2)
     for orbit in orbits:
         group._own_dominant(orbit.dominant)
     first, second = sorted(orbits[:2], key=len, reverse=True)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError, SizeLimitError
+from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError, SizeLimitError, _check_int
 from .golden import GoldenNumber, TAU
 from .groups import Group, Weight, H3, _flatten, _RecordDict, _RecordList, _Records, _unflatten
 from .orbits import _norm_order
@@ -196,8 +196,7 @@ def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
 
 def _check_args(group: Group, seed: Weight, max_nodes: int) -> None:
     group._own_dominant(seed)
-    if not isinstance(max_nodes, int) or isinstance(max_nodes, bool) or max_nodes < 1:
-        raise DomainError(f"max_nodes must be an int >= 1, got {max_nodes!r}")
+    _check_int(max_nodes, "max_nodes", 1)
     if group.tag not in _TREE_GROUPS:
         raise DomainError(f"weight systems are generated for {_TREE_GROUPS} only")
     if seed.is_zero:
@@ -330,8 +329,8 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         gram = np.array(group.gram, dtype=float)
     keys, counts, seen = _row_keys(frontier, bits), np.zeros(1, dtype=np.int64), 1
     if tree:
-        # the sorted visited keys and the number of each; the rows and the
-        # edges of each level
+        # the sorted visited keys and the number of each; the rows, their
+        # dominance and the edges of each level
         visited, ids = keys, np.zeros(1, dtype=np.int64)
         levels, events = [], []
     else:
@@ -341,18 +340,22 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         main = recent = keys[:0]
     while len(frontier):
         if bits is not None:
-            # coordinates below 2**15: the float64 values have exact signs,
-            # and their root coordinates decide the cone exactly
+            # a static float filter (Shewchuk, DCG 18, 1997): a nonzero a + b*tau
+            # with |a|, |b| <= M has a nonzero integer field norm, so it is at
+            # least 1/((1 + 1/tau)*M), while the float64 a + b*TAU_F errs by
+            # under 6*M*2**-53; with every part below 2**15 its sign is exact,
+            # and zero gives 0.0.  The root coordinates decide the cone exactly
+            # (see _CONE_EPS).
             signs = frontier[:, 0::2] + frontier[:, 1::2] * _TAU_F
             roots = None if tree else signs @ gram
         else:
             signs = _signs(frontier[:, 0::2], frontier[:, 1::2])
             roots = None if tree else (_adj_times(frontier, adj), det)
+        # column by column: numpy reduces the short rows far more slowly
+        dominant = np.logical_and.reduce([column >= 0 for column in signs.T])
         if tree:
-            levels.append(frontier)
+            levels.append((frontier, dominant))
         else:
-            # column by column: numpy reduces the short rows far more slowly
-            dominant = np.logical_and.reduce([column >= 0 for column in signs.T])
             at = np.searchsorted(dom_keys, keys[dominant])
             dom_keys = np.insert(dom_keys, at, keys[dominant])
             dom_counts = np.insert(dom_counts, at, counts[dominant])
@@ -416,9 +419,9 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         rows = _unpack_keys(dom_keys, bits, width)
         return rows, dom_counts, _listing_order(rows, adj), None
     # a nonzero dominant seed has a positive coordinate, so there are edges
-    rows = np.concatenate(levels)
+    rows, dominant = (np.concatenate(column) for column in zip(*levels))
     edges = tuple(np.concatenate(column) for column in zip(*events))
-    lower = np.flatnonzero((_signs(rows[:, 0::2], rows[:, 1::2]) >= 0).all(axis=1))
+    lower = np.flatnonzero(dominant)
     return (rows, np.bincount(edges[1], minlength=len(rows)),
             lower[_listing_order(rows[lower], adj)], edges)
 
@@ -457,34 +460,27 @@ def _det_norms(rows, adj) -> list[tuple[int, int]]:
 # they are checked: a new child is checked as a row of the next frontier,
 # and a revisited one equals a row checked before.
 _MAX_COORD = 1 << 30
-# _signs takes float64 when |2a + b| and |b| are below _FLOAT_SIGN (see its
-# proof).  In the key regime a string of step s from a parent with root
-# coordinate r_i keeps n = min(g, floor((r_i + _CONE_EPS)/s)) children, in
-# float64.  With parts below B = 2**15, 2**9, 2**7 (H2, H3, H4), det*(r_i -
-# k*s) has parts below 7B, 14B, 26B, so a nonzero cone value is at least
-# delta = 1.9e-6.  _CONE_EPS exceeds the float errors of r_i and k*s plus one
+# In the key regime a string of step s from a parent with root coordinate
+# r_i keeps n = min(g, floor((r_i + _CONE_EPS)/s)) children, in float64.
+# With parts below B = 2**15, 2**9, 2**7 (H2, H3, H4), det*(r_i - k*s) has
+# parts below 7B, 14B, 26B, so a nonzero cone value is at least delta =
+# 1.9e-6.  _CONE_EPS exceeds the float errors of r_i and k*s plus one
 # rounding of r_i (below 1.9e-10), so every k inside the cone is counted; and
 # (delta - _CONE_EPS - those errors) / ((1 + tau)*B) exceeds B*2**-53, the
 # rounding of the quotient, so no k outside it is (every bound is computed in
 # the tests; H2 has the least margin, a factor of 6).
-_FLOAT_SIGN, _CONE_EPS = 1 << 20, 1e-8
+_CONE_EPS = 1e-8
 
 
 def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact elementwise sign (-1, 0, +1) of a + b*tau for int64 arrays.
-
-    For ``|a|, |b| <= M`` a nonzero ``a + b*tau`` has a nonzero integer norm,
-    so ``|a + b*tau| >= 1/|a + b*tau'| >= 1/(1.62*M)``, while the float64 ``a +
-    b*TAU_F`` errs by under ``6*M*2**-53``: below ``_FLOAT_SIGN`` = 2**20 its
-    sign is exact, and zero gives 0.0.  Past that, the squares decide.
+    """Exact elementwise sign (-1, 0, +1) of a + b*tau for int64 arrays, from
+    the signs of ``2a + b`` and ``b`` and, when they differ, of the squares.
     Every caller tests points of a weight system or their root coordinates,
     so an out-of-range input raises the closure's int64-range error."""
     s = 2 * a + b  # a + b*tau = (s + b*sqrt5) / 2
     bound = max(int(np.abs(s).max(initial=0)), int(np.abs(b).max(initial=0)))
     if bound > _MAX_COORD:
         raise SizeLimitError(_OUT_OF_RANGE)
-    if bound < _FLOAT_SIGN:
-        return np.sign(a + b * _TAU_F)
     sign_s = np.sign(s)
     sign_b = np.sign(b)
     return np.where(sign_s * sign_b < 0,

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 import itertools
+import re
 
 import pytest
 
@@ -252,8 +253,38 @@ def test_anomaly_normalized_is_scale_invariant():
 def test_anomaly_guards():
     with pytest.raises(DomainError):
         anomaly_number(H2, H2.weight(1, 0), H2.zero_weight(), 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^degree must be odd, got 2$"):
         anomaly_number(H2, H2.weight(1, 0), default_direction(H2), 2)
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, 2.0, True, False, "1", None])
+def test_p_is_an_int_of_at_least_zero(value):
+    lam = H2.weight(2, 1)
+    message = rf"^p must be an int >= 0, got {re.escape(repr(value))}$"
+    for call in (lambda: even_index(H2, lam, value),
+                 lambda: multiset_even_index(generate_orbit(H2, lam).multiset(), value),
+                 lambda: direct_product_index([(H2, lam), (H2, H2.weight(1, 0))], value)):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("group", [H2, H3], ids=lambda g: g.tag)
+@pytest.mark.parametrize("value", [0, -3, 3.0, True, "3"])
+def test_degree_is_an_int_of_at_least_one(group, value):
+    # checked before the H3 and H4 shortcut to 0
+    lam = group.weight(*[1] * group.rank)
+    with pytest.raises(DomainError, match=rf"^degree must be an int >= 1, got {re.escape(repr(value))}$"):
+        anomaly_number(group, lam, default_direction(group), value)
+
+
+def test_directions_are_owned_and_nonzero():
+    lam, rule = H3.weight(1, 1, 0), branching_rule(H3, H2)
+    for call in (lambda v: anomaly_number(H3, lam, v, 3),
+                 lambda v: branch_layers(H3, rule, lam, v)):
+        with pytest.raises(DomainError, match="^direction must be nonzero$"):
+            call(H3.zero_weight())
+        with pytest.raises(GroupMismatchError, match="^weight of H2 passed to H3$"):
+            call(H2.weight(1, 0))
 
 
 def test_axis_directions():

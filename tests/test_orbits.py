@@ -102,6 +102,39 @@ def test_every_seed_entry_rejects_a_non_dominant_seed(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: orbit_sum([]), "orbit_sum needs at least 1 orbit"),
+    (lambda: orbit_product([generate_orbit(H2, H2.weight(1, 0))]),
+     "orbit_product needs at least 2 orbits"),
+    (lambda: decompose_product([generate_orbit(H2, H2.weight(1, 0))]),
+     "decompose_product needs at least 2 orbits"),
+    (lambda: direct_product_index([], 1), "direct_product_index needs at least one factor"),
+], ids=["orbit_sum", "orbit_product", "decompose_product", "direct_product_index"])
+def test_orbit_list_entries_count_their_orbits(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+def test_multiset_weights_belong_to_its_group():
+    foreign, message = H2.weight(1, 0), "^weight of H2 passed to H3$"
+    with pytest.raises(GroupMismatchError, match=message):
+        WeightMultiset(H3, {foreign: 1})
+    multiset = generate_orbit(H3, H3.weight(1, 0, 0)).multiset()
+    with pytest.raises(GroupMismatchError, match=message):
+        multiset.add(foreign)
+    # a tally mutated after it was built, mixed or of foreign weights alone
+    multiset.tally[foreign] = 1
+    alone = WeightMultiset(H3)
+    alone.tally[foreign] = 1
+    for m in (multiset, alone):
+        with pytest.raises(GroupMismatchError, match=message):
+            multiset_even_index(m, 1)
+        with pytest.raises(GroupMismatchError, match=message):
+            decompose(m)
+    with pytest.raises(GroupMismatchError, match="^weights belong to H3 and H2$"):
+        H3.weight(1, 0, 0) + foreign
+
+
 def test_orbit_equal_norm_and_zero_sum(rng):
     for group in (H2, H3):
         for _ in range(10):

@@ -394,7 +394,7 @@ _ULP = 2.0 ** -53  # unit roundoff of float64
 def _fibonacci_pairs(limit):
     """``(F(n+1), -F(n))`` and its negative while ``|2a + b| = L(n) < limit``:
     ``F(n+1) - F(n)*tau = (-1/tau)**n`` is the smallest nonzero ``a + b*tau``
-    of its size, the worst case for the float branch of ``_signs``."""
+    of its size, the worst case for a float sign."""
     pairs = []
     a, b = 1, 1
     while 2 * a - b < limit:
@@ -403,30 +403,33 @@ def _fibonacci_pairs(limit):
     return pairs
 
 
-def test_signs_exact_on_both_sides_of_the_float_switch():
-    switch = weightsys._FLOAT_SIGN
-    # a nonzero a + b*tau with |a|, |b| <= M is at least 1/(1.62*M); the float
-    # error is at most 6*M*2**-53, so the switch keeps float signs exact
-    assert 6 * switch * _ULP < 1 / ((1 + 1 / _TAU) * switch)
+def test_signs_exact_and_the_key_regime_float_filter_holds():
+    # the packed-key regime takes its signs in float64: a nonzero a + b*tau
+    # with |a|, |b| <= B is at least 1/((1 + 1/tau)*B) and the float error at
+    # most 6*B*2**-53, so below the largest lane bound B = 2**15 (H2) the
+    # float sign is exact
+    B = _key_regime_top(H2) + 1
+    assert B == 1 << 15 and all(_key_regime_top(g) < B for g in (H3, H4))
+    assert 6 * B * _ULP < 1 / ((1 + 1 / _TAU) * B)
     pairs = _fibonacci_pairs(weightsys._MAX_COORD)
     rng = random.Random(14)
-    for size in (10, 1000, switch // 2, switch, 2 * switch, weightsys._MAX_COORD // 4):
+    for size in (10, 1000, 1 << 19, 1 << 20, 1 << 21, weightsys._MAX_COORD // 4):
         for _ in range(100):
             b = rng.randint(-size, size)
             pairs.append((round(-b * _TAU) + rng.randint(-2, 2), b))  # near a + b*tau = 0
             pairs.append((rng.randint(-size, size), b))
     pairs += [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]
-    ranges = [max(abs(2 * a + b), abs(b)) for a, b in pairs]
-    assert max(ranges) <= weightsys._MAX_COORD
-    small = [p for p, r in zip(pairs, ranges) if r < switch]
-    assert len(small) > 100 and len(pairs) - len(small) > 100
-    # one pair per call takes the branch of its own size; batches take the
-    # branch of their largest pair
+    assert max(max(abs(2 * a + b), abs(b)) for a, b in pairs) <= weightsys._MAX_COORD
+    # the integer squares, one pair per call and all pairs in one batch
     for a, b in pairs:
         assert weightsys._signs(np.array([a]), np.array([b])).tolist() == [_sign_pair(a, b)], (a, b)
-    for batch in (small, pairs):
-        a, b = np.array(batch, dtype=np.int64).T
-        assert weightsys._signs(a, b).tolist() == [_sign_pair(*p) for p in batch]
+    a, b = np.array(pairs, dtype=np.int64).T
+    assert weightsys._signs(a, b).tolist() == [_sign_pair(*p) for p in pairs]
+    # the float signs of the key regime, on the pairs inside its bound
+    small = [p for p in pairs if max(map(abs, p)) < B]
+    assert len(small) > 100
+    a, b = np.array(small, dtype=np.int64).T
+    assert np.sign(a + b * weightsys._TAU_F).tolist() == [_sign_pair(*p) for p in small]
 
 
 def _key_regime_top(group):
