@@ -196,8 +196,6 @@ def _cmd_product(args, group: Group) -> int:
 
 def _cmd_anomaly(args, group: Group) -> int:
     seed = _parse_coords(group, args.coords)
-    if args.degree < 1 or args.degree % 2 == 0:
-        raise _UsageError("--degree must be odd and positive")
     if args.direction:
         direction = _parse_coords(group, args.direction)
     else:

@@ -12,7 +12,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby, product
 
 from .errors import DomainError, GroupMismatchError, NonDominantError
 from .golden import GoldenNumber, ONE, TAU, ZERO, _pair_pow, _sign_pair, parse_golden
@@ -264,6 +264,16 @@ class Group:
         self.gram, self.cartan_det = _invert(self.cartan)
         self.edge_labels = edge_labels
         self.order = _path_order(self.rank, edge_labels)
+        # orbit size of a dominant weight by its zero pattern: the stabilizer
+        # is a product of path groups over the runs of zeros (see orbit_size)
+        self._orbit_sizes = {}
+        for zeros in product((False, True), repeat=self.rank):
+            stab, i = 1, 0
+            for zero, run in groupby(zeros):
+                n = len(list(run))
+                stab *= _path_order(n, edge_labels[i:i + n - 1]) if zero else 1
+                i += n
+            self._orbit_sizes[zeros] = self.order // stab
         # sparse forms of the cartan rows, for the reflection kernels:
         # row i -> ((j, a, b), ...) over nonzero entries a + b*tau
         self._int_rows = tuple(
@@ -406,17 +416,28 @@ class Group:
 
     def _to_dominant_flat(self, flat) -> tuple[tuple[int, ...], int]:
         """:meth:`to_dominant` on a flat weight; the denominator is unchanged."""
-        rows = self._int_rows
-        rank = self.rank
-        steps = 0
-        while True:
-            for i in range(rank):
-                if _sign_pair(flat[2 * i], flat[2 * i + 1]) < 0:
-                    flat = _reflect_flat(flat, i, rows[i])
-                    steps += 1
-                    break
+        return self._reduce_flat(flat, range(self.rank))
+
+    def _reduce_flat(self, flat, indices) -> tuple[tuple[int, ...], int]:
+        """A flat weight reflected, in place in a list, at the lowest of the
+        sorted ``indices`` whose coordinate is negative until none is, and the
+        number of reflections.  On a path diagram ``s_i`` changes only
+        coordinates ``i - 1``, ``i`` and ``i + 1``, so after a reflection at
+        position ``p`` the scan resumes at ``p - 1``."""
+        x, rows, n = list(flat), self._int_rows, len(indices)
+        steps = p = 0
+        while p < n:
+            i = indices[p]
+            xa, xb = x[2 * i], x[2 * i + 1]
+            # both parts >= 0 make the coordinate >= 0; the exact test takes the rest
+            if (xa < 0 or xb < 0) and _sign_pair(xa, xb) < 0:
+                for j, ca, cb in rows[i]:
+                    x[2 * j] -= xa * ca + xb * cb
+                    x[2 * j + 1] -= xa * cb + xb * ca + xb * cb
+                steps, p = steps + 1, p - (p > 0)
             else:
-                return flat, steps
+                p += 1
+        return tuple(x), steps
 
     # -- orbit sizes --------------------------------------------------------
 
@@ -429,22 +450,7 @@ class Group:
         product over consecutive runs of zeros.
         """
         self._own_dominant(dominant)
-        return self._orbit_size_of_zeros([not c for c in dominant.coords])
-
-    def _orbit_size_of_zeros(self, zeros) -> int:
-        """Orbit size of a dominant weight whose coordinate i is zero iff ``zeros[i]``."""
-        runs: list[list[int]] = []
-        for i, zero in enumerate(zeros):
-            if not zero:
-                continue
-            if runs and i == runs[-1][-1] + 1:
-                runs[-1].append(i)
-            else:
-                runs.append([i])
-        stab = 1
-        for run in runs:
-            stab *= _path_order(len(run), self.edge_labels[run[0]:run[-1]])
-        return self.order // stab
+        return self._orbit_sizes[tuple(not c for c in dominant.coords)]
 
     def _own(self, w: Weight):
         if w.group is not self:

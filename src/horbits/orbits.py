@@ -3,8 +3,8 @@
 Orbit elements are generated from the dominant point on the flat integer
 rows of :mod:`horbits.groups` (the numerators of a weight's 2*rank rational
 parts over a common denominator), each point once, from its unique parent.
-A generated orbit keeps those rows, and builds its ``Weight`` elements only
-when they are read.
+A generated orbit holds its dominant row, builds the rows when they are
+first read, and builds its ``Weight`` elements only when those are read.
 
 Products of orbits are decomposed without forming their pairwise sums, by
 the stabilizer product rule: for dominant lambda and an orbit O_mu, the
@@ -79,8 +79,8 @@ def _orbit_flats(group: Group, seed_flat) -> list[tuple[int, ...]]:
 
 def _flat_orbit_size(group: Group, flat) -> int:
     """Orbit size of a dominant flat row, from its zero coordinates."""
-    return group._orbit_size_of_zeros(
-        [not (flat[i] or flat[i + 1]) for i in range(0, len(flat), 2)])
+    zeros = [not (flat[i] or flat[i + 1]) for i in range(0, len(flat), 2)]
+    return group._orbit_sizes[tuple(zeros)]
 
 
 def _flatten_lists(lists) -> tuple[list[list[tuple[int, ...]]], int]:
@@ -152,10 +152,15 @@ def _by_norm(group: Group, items) -> list:
 
 
 class _OrbitRows:
-    """The flat rows of an orbit over ``denom``, and its elements."""
+    """The orbit of a dominant flat row ``seed`` over ``denom``: its flat
+    rows and its elements, each built on first read."""
 
-    def __init__(self, group: Group, rows: list[tuple[int, ...]], denom: int):
-        self.group, self.rows, self.denom = group, rows, denom
+    def __init__(self, group: Group, seed: tuple[int, ...], denom: int):
+        self.group, self.seed, self.denom = group, seed, denom
+
+    @cached_property
+    def rows(self) -> list[tuple[int, ...]]:
+        return _orbit_flats(self.group, self.seed)
 
     @cached_property
     def elements(self) -> tuple[Weight, ...]:
@@ -273,14 +278,15 @@ def _one_group(orbits, name: str, least: int) -> Group:
 def generate_orbit(group: Group, dominant: Weight) -> Orbit:
     """All images of a dominant weight under the group, each generated once.
 
-    ``elements`` is a view over the rows of :func:`_orbit_flats`: its length
-    is known at once, and its ``Weight`` tuple, in element order, is built
-    on the first read of an item.  Products read the rows directly.
+    ``elements`` is a view over the rows of :func:`_orbit_flats`, which are
+    built on their first read: its length comes from the zero pattern of the
+    dominant, and its ``Weight`` tuple, in element order, is built on the
+    first read of an item.  Products read the rows directly.
     """
     group._own_dominant(dominant)
     (seed,), denom = _flatten([dominant])
-    rows = _orbit_flats(group, seed)
-    return Orbit(group, dominant, _RecordList(_OrbitRows(group, rows, denom), "elements", len(rows)))
+    return Orbit(group, dominant, _RecordList(
+        _OrbitRows(group, seed, denom), "elements", _flat_orbit_size(group, seed)))
 
 
 def orbit_sum(orbits) -> WeightMultiset:
@@ -358,27 +364,17 @@ def _stabilizer_classes(group: Group, factor, zeros, name) -> list[tuple[tuple[i
     ``len(factor)``: then the elements are the disjoint union of the kept
     W_J-orbits.  With ``J`` empty, every element is kept.
     """
-    if not any(zeros):
-        return [(y, 1) for y in factor]
     J = [i for i, zero in enumerate(zeros) if zero]
-    rows = group._int_rows
-    stab = group._orbit_size_of_zeros(zeros)
+    stab = group._orbit_sizes[zeros]
     reps: dict[tuple[int, ...], int] = {}
     reduced = set()
     for y in factor:
-        x = y
-        while True:
-            for i in J:
-                if _sign_pair(x[2 * i], x[2 * i + 1]) < 0:
-                    x = _reflect_flat(x, i, rows[i])
-                    break
-            else:
-                break
-        if x is y:
-            reps[y] = group._orbit_size_of_zeros(
-                [zero and not (y[2 * i] or y[2 * i + 1]) for i, zero in enumerate(zeros)]) // stab
-        else:
+        x, steps = group._reduce_flat(y, J)
+        if steps:
             reduced.add(x)
+        else:
+            reps[y] = group._orbit_sizes[tuple(
+                [zero and not (y[2 * i] or y[2 * i + 1]) for i, zero in enumerate(zeros)])] // stab
     if not reduced <= reps.keys():
         raise MalformedMultisetError(f"orbit of {name} is not closed under its J-reflections")
     covered = sum(reps.values())
@@ -423,14 +419,14 @@ def decompose_product(orbits) -> Decomposition:
         classes: dict[tuple[bool, ...], list] = {}
         merged: dict[tuple[int, ...], int] = {}
         for lam, mult in parts.items():
-            zeros = tuple(not (lam[i] or lam[i + 1]) for i in range(0, len(lam), 2))
+            zeros = tuple([not (lam[i] or lam[i + 1]) for i in range(0, len(lam), 2)])
             if zeros not in classes:
                 classes[zeros] = _stabilizer_classes(group, factor, zeros, orbit.dominant)
             tally: dict[tuple[int, ...], int] = {}
             for y, size in classes[zeros]:
-                nu, _ = group._to_dominant_flat(tuple([a + b for a, b in zip(lam, y)]))
+                nu, _ = group._to_dominant_flat(map(add, lam, y))
                 tally[nu] = tally.get(nu, 0) + size
-            lam_size = group._orbit_size_of_zeros(zeros)
+            lam_size = group._orbit_sizes[zeros]
             for nu, count in tally.items():
                 m, rest = divmod(lam_size * count, _flat_orbit_size(group, nu))
                 if rest:

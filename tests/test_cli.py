@@ -100,9 +100,12 @@ def test_anomaly_explicit_direction(capsys):
     assert out == "2728/25+4444/25t (396.7417218401813)\n"
 
 
-def test_anomaly_even_degree_usage_error(capsys):
+def test_anomaly_even_degree_is_a_domain_error(capsys):
+    # the library states the degree contract, and the CLI reports it like
+    # every other DomainError
     code, _, err = run(capsys, "anomaly", "H2", "1,2", "--degree", "4")
-    assert code == 2
+    assert code == 3
+    assert "degree must be odd, got 4" in err
 
 
 def test_branch(capsys):

@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from horbits.errors import DomainError, GroupMismatchError
-from horbits.golden import GoldenNumber, TAU, golden, parse_golden
-from horbits.groups import A1, A2, GROUPS, H2, H3, H4, _invert, get_group
+from horbits.golden import GoldenNumber, TAU, _sign_pair, golden, parse_golden
+from horbits.groups import (A1, A2, GROUPS, H2, H3, H4, _invert, _path_order, _reflect_flat,
+                            get_group)
 
 ALL_GROUPS = (H2, H3, H4, A1, A2)
 
@@ -198,6 +200,80 @@ def test_to_dominant_matches_reflect_loop(rng):
             x = group.weight(*[golden(part(), part() if rng.random() < 0.5 else 0)
                                for _ in range(group.rank)])
             assert group.to_dominant(x) == _reference_to_dominant(group, x)
+
+
+def _reference_reduce_flat(group, flat, indices):
+    """Reflect at the lowest index of ``indices`` with a negative coordinate,
+    one ``_reflect_flat`` tuple at a time, re-scanning from the lowest index
+    after each reflection."""
+    steps = 0
+    while True:
+        for i in indices:
+            if _sign_pair(flat[2 * i], flat[2 * i + 1]) < 0:
+                flat = _reflect_flat(flat, i, group._int_rows[i])
+                steps += 1
+                break
+        else:
+            return flat, steps
+
+
+def _random_flat(group, rng):
+    """A flat row whose coordinate pairs are zero, small integers of mixed
+    signs, or Fibonacci-sized pairs ``±(F_{k+1}, -F_k)``, of value
+    ``±tau**-k``, whose sign only the exact test tells."""
+    fib = [0, 1]
+    while len(fib) < 40:
+        fib.append(fib[-1] + fib[-2])
+    flat = []
+    for _ in range(group.rank):
+        kind = rng.randrange(3)
+        if kind == 0:
+            pair = (0, 0)
+        elif kind == 1:
+            pair = (rng.randint(-6, 6), rng.randint(-6, 6))
+        else:
+            k = rng.randrange(2, 38)
+            sign = rng.choice((1, -1))
+            pair = (sign * fib[k + 1], -sign * fib[k])
+        flat += pair
+    return tuple(flat)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)
+def test_reduce_flat_matches_the_rescan_loop(group):
+    rng = random.Random(31 * group.rank + len(group.edge_labels))
+    subsets = [list(J) for n in range(group.rank + 1)
+               for J in itertools.combinations(range(group.rank), n)]
+    for _ in range(60):
+        flat = _random_flat(group, rng)
+        assert group._to_dominant_flat(flat) == _reference_reduce_flat(
+            group, flat, range(group.rank))
+        for J in subsets:
+            x, steps = group._reduce_flat(flat, J)
+            assert (x, steps) == _reference_reduce_flat(group, flat, J)
+            assert all(_sign_pair(x[2 * i], x[2 * i + 1]) >= 0 for i in J)
+            # _stabilizer_classes keeps the rows that take no step
+            assert isinstance(x, tuple) and (steps == 0) == (x == flat)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.tag)
+def test_orbit_size_table_is_the_path_order_product(group):
+    # the stabilizer of a dominant weight is a product over the runs of its
+    # zero coordinates, each the group of a path
+    assert len(group._orbit_sizes) == 2 ** group.rank
+    for zeros in itertools.product((False, True), repeat=group.rank):
+        runs: list[list[int]] = []
+        for i, zero in enumerate(zeros):
+            if zero and runs and i == runs[-1][-1] + 1:
+                runs[-1].append(i)
+            elif zero:
+                runs.append([i])
+        stab = 1
+        for run in runs:
+            stab *= _path_order(len(run), group.edge_labels[run[0]:run[-1]])
+        assert group._orbit_sizes[zeros] == group.order // stab
+        coords = [0 if zero else 1 for zero in zeros]
+        assert group.orbit_size(group.weight(*coords)) == group.order // stab
 
 
 def test_orbit_size_rejects_non_dominant():

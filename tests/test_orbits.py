@@ -21,6 +21,7 @@ from horbits.errors import (
 from horbits.geometry import _orbit_rows, nested_polyhedra
 from horbits.golden import GoldenNumber, _sign_pair, golden
 from horbits.groups import A1, A2, H2, H3, H4, Group, Weight, _flatten, _reflect_flat, _unflatten
+from horbits import orbits as orbits_module
 from horbits.indices import (
     anomaly_number,
     branch_decompose,
@@ -704,6 +705,42 @@ def test_orbit_length_and_rows_build_no_weight(monkeypatch):
     assert orbit_product([generate_orbit(H3, w) for w in small]).total() == 360
     assert not built
     assert len(a.elements[:1]) == 1 and len(built) == 1440
+
+
+def _count_closures(monkeypatch):
+    """A list that grows by the seed row of each ``_orbit_flats`` run from now on."""
+    seeds = []
+    closure = orbits_module._orbit_flats
+
+    def counted(group, seed):
+        seeds.append(seed)
+        return closure(group, seed)
+
+    monkeypatch.setattr(orbits_module, "_orbit_flats", counted)
+    return seeds
+
+
+def test_orbit_rows_are_built_on_first_read(monkeypatch):
+    closures = _count_closures(monkeypatch)
+    a, b = (generate_orbit(H4, H4.parse_weight(c)) for c in ("1,1,0,0", "0,0,1,1"))
+    # the length comes from the zero pattern
+    assert len(a) == len(a.elements) == 1440 and len(b) == 2400
+    assert not closures
+    # the product iterates the smaller orbit and reads only the dominant of the larger
+    decompose_product([a, b])
+    assert closures == [(1, 0, 1, 0, 0, 0, 0, 0)]
+    del closures[:]
+    # the size guard trips before any point is built
+    with pytest.raises(SizeLimitError):
+        orbit_product([generate_orbit(H3, H3.weight(1, 1, 0)),
+                       generate_orbit(H3, H3.weight(0, 1, 1))], max_points=10)
+    assert not closures
+    rng = random.Random(17)
+    for group in (H2, H3, H4, A1, A2):
+        for _ in range(8):
+            orbit = generate_orbit(group, _closure_seed(group, rng))
+            size = len(orbit)
+            assert size == len(orbit.elements._source.rows) == len(tuple(orbit.elements))
 
 
 def test_lazy_orbit_compares_and_hashes_as_its_tuple():

@@ -924,12 +924,14 @@ def test_results_pickle_and_copy():
         assert clone(v) + w == v + w
         assert clone(orbit) == orbit and clone(orbit).group is H3
         assert clone(lower) == lower
-        # generated orbits hold rows: before their elements are read and after
-        for read in (False, True):
+        # generated orbits hold their dominant row: unread, with their rows
+        # read (as products read them) and with their elements read
+        for read in (None, "rows", "elements"):
             held = generate_orbit(H3, v)
             if read:
-                held.elements[0]
+                getattr(held.elements._source, read)
             y = clone(held)
+            assert ("rows" in vars(y.elements._source)) == (read is not None)
             assert len(y.elements) == 60 and isinstance(y.elements[:2], tuple)
             assert y == held and held == y and hash(y) == hash(held)
             assert y.elements == orbit.elements and y.elements[0].group is H3
