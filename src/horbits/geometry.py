@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, chain
 from operator import attrgetter
 
@@ -170,11 +171,10 @@ def nested_polyhedra(group: Group, seed: Weight,
     ``max_nodes`` is the size guard of the weight-system closure.
 
     All shells' orbits are built together as flat integer rows and turned
-    into weights by one call, which shares a ``GoldenNumber`` per distinct
-    coordinate; each distinct coordinate is converted to a float once.  The
-    Cartesian points come from ``M @ v`` stacked over all points, which
-    gives the floats of one product per point (one ``points @ M.T`` need
-    not: BLAS may fuse its multiply-adds).
+    into weights by one call; each distinct coordinate pair of the rows is
+    converted to a float once.  The Cartesian points come from ``M @ v``
+    stacked over all points, which gives the floats of one product per
+    point (one ``points @ M.T`` need not: BLAS may fuse its multiply-adds).
     """
     dominants = [w for w, _ in weight_system_dominants(group, seed, max_nodes=max_nodes)]
     flats, denom = _flatten(dominants)
@@ -183,9 +183,9 @@ def nested_polyhedra(group: Group, seed: Weight,
              for f in flats]
     edges = _shell_edges(group, rows, sizes, least) if group.rank <= 3 else [()] * len(sizes)
     exact = _unflatten(group, rows.tolist(), denom)
-    coords = list(chain.from_iterable(map(attrgetter("coords"), exact)))
-    values = {key: float(c) for key, c in {id(c): c for c in coords}.items()}
-    omega = np.fromiter(map(values.__getitem__, map(id, coords)), np.float64, len(coords))
+    pairs, inverse = _distinct_rows(rows.reshape(-1, 2))
+    omega = np.array([float(golden(Fraction(a, denom), Fraction(b, denom)))
+                      for a, b in pairs.tolist()], np.float64)[inverse]
     basis = embed(group).basis_matrix
     cartesian = (basis @ omega.reshape(-1, group.rank, 1))[:, :, 0]
     shells = tuple(Shell(

@@ -415,28 +415,24 @@ class Group:
         return _unflatten(self, [flat], denom)[0], steps
 
     def _to_dominant_flat(self, flat) -> tuple[tuple[int, ...], int]:
-        """:meth:`to_dominant` on a flat weight; the denominator is unchanged."""
-        return self._reduce_flat(flat, range(self.rank))
-
-    def _reduce_flat(self, flat, indices) -> tuple[tuple[int, ...], int]:
-        """A flat weight reflected, in place in a list, at the lowest of the
-        sorted ``indices`` whose coordinate is negative until none is, and the
-        number of reflections.  On a path diagram ``s_i`` changes only
-        coordinates ``i - 1``, ``i`` and ``i + 1``, so after a reflection at
-        position ``p`` the scan resumes at ``p - 1``."""
-        x, rows, n = list(flat), self._int_rows, len(indices)
-        steps = p = 0
-        while p < n:
-            i = indices[p]
+        """:meth:`to_dominant` on a flat weight, and on the sums of the product
+        rule; the denominator is unchanged.  The weight is reflected, in place
+        in a list, at the lowest index whose coordinate is negative until none
+        is.  On a path diagram ``s_i`` changes only coordinates ``i - 1``,
+        ``i`` and ``i + 1``, so after a reflection at ``i`` the scan resumes
+        at ``i - 1``."""
+        x, rows, n = list(flat), self._int_rows, self.rank
+        steps = i = 0
+        while i < n:
             xa, xb = x[2 * i], x[2 * i + 1]
             # both parts >= 0 make the coordinate >= 0; the exact test takes the rest
             if (xa < 0 or xb < 0) and _sign_pair(xa, xb) < 0:
                 for j, ca, cb in rows[i]:
                     x[2 * j] -= xa * ca + xb * cb
                     x[2 * j + 1] -= xa * cb + xb * ca + xb * cb
-                steps, p = steps + 1, p - (p > 0)
+                steps, i = steps + 1, i - (i > 0)
             else:
-                p += 1
+                i += 1
         return tuple(x), steps
 
     # -- orbit sizes --------------------------------------------------------

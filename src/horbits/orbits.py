@@ -351,7 +351,8 @@ def decompose(multiset: WeightMultiset) -> Decomposition:
     return out
 
 
-def _stabilizer_classes(group: Group, factor, zeros, name) -> list[tuple[tuple[int, ...], int]]:
+def _stabilizer_classes(group: Group, factor, members, zeros,
+                        name) -> list[tuple[tuple[int, ...], int]]:
     """The flat orbit ``factor`` as ``(y, |W_J y|)`` pairs, one per W_J-orbit.
 
     ``J``, the true ``zeros``, is the zero set of a dominant ``lambda``; its
@@ -359,24 +360,24 @@ def _stabilizer_classes(group: Group, factor, zeros, name) -> list[tuple[tuple[i
     W_J-orbit meets the closed J-chamber ``{y : y_i >= 0, i in J}`` exactly
     once (Humphreys, *Reflection Groups and Coxeter Groups*, 1990,
     1.10-1.12), in a ``y`` of W_J-orbit size ``|W_J| / |W_{J & zeros(y)}|``.
-    The elements, distinct (:func:`decompose_product` checks that), must
-    reduce by J-reflections to kept ``y``, and the sizes must sum to
-    ``len(factor)``: then the elements are the disjoint union of the kept
-    W_J-orbits.  With ``J`` empty, every element is kept.
+    The elements are distinct, with set ``members``.  Each one outside the
+    J-chamber must have its J-parent, its image at its least J index with a
+    negative coordinate, among them, so that it J-reduces to a kept ``y``;
+    then the kept sizes summing to ``len(factor)`` make the elements the
+    disjoint union of the kept W_J-orbits.
     """
     J = [i for i, zero in enumerate(zeros) if zero]
     stab = group._orbit_sizes[zeros]
     reps: dict[tuple[int, ...], int] = {}
-    reduced = set()
     for y in factor:
-        x, steps = group._reduce_flat(y, J)
-        if steps:
-            reduced.add(x)
-        else:
+        # both parts >= 0 make a coordinate >= 0; the exact test takes the rest
+        i = next((i for i in J if (y[2 * i] < 0 or y[2 * i + 1] < 0)
+                  and _sign_pair(y[2 * i], y[2 * i + 1]) < 0), None)
+        if i is None:
             reps[y] = group._orbit_sizes[tuple(
-                [zero and not (y[2 * i] or y[2 * i + 1]) for i, zero in enumerate(zeros)])] // stab
-    if not reduced <= reps.keys():
-        raise MalformedMultisetError(f"orbit of {name} is not closed under its J-reflections")
+                [zero and not (y[2 * j] or y[2 * j + 1]) for j, zero in enumerate(zeros)])] // stab
+        elif _reflect_flat(y, i, group._int_rows[i]) not in members:
+            raise MalformedMultisetError(f"orbit of {name} is not closed under its J-reflections")
     covered = sum(reps.values())
     if covered != len(factor):
         raise MalformedMultisetError(
@@ -394,53 +395,45 @@ def decompose_product(orbits) -> Decomposition:
     (:func:`_stabilizer_classes`); a dominant ``nu`` reached ``count`` times
     gains multiplicity ``m * |O_lambda| * count / |O_nu|``.  The first
     product iterates over the smaller of the two orbits.  No sum point set
-    is formed.  Every seed must be dominant, and the bookkeeping identity
-    ``sum(mult * |O_nu|) == prod |O_i|`` is checked.
+    is formed.  Every seed must be dominant and every orbit of its size: with
+    each step's W_J cover and divisibility, ``sum(mult * |O_nu|) == prod |O_i|``.
     """
     orbits = list(orbits)
     group = _one_group(orbits, "decompose_product", 2)
     for orbit in orbits:
-        group._own_dominant(orbit.dominant)
+        size = group.orbit_size(orbit.dominant)
+        if len(orbit.elements) != size:
+            raise MalformedMultisetError(
+                f"orbit of {orbit.dominant} has {len(orbit.elements)} elements, not {size}")
     first, second = sorted(orbits[:2], key=len, reverse=True)
     iterated = [second, *orbits[2:]]
-    for orbit in iterated:
-        if len(orbit.elements) != group.orbit_size(orbit.dominant):
-            raise MalformedMultisetError(
-                f"orbit of {orbit.dominant} has {len(orbit.elements)} elements, "
-                f"not {group.orbit_size(orbit.dominant)}"
-            )
     ((seed,), *factors), denom = _flatten_lists(
         [[first.dominant], *(orbit.elements for orbit in iterated)])
 
     parts = {seed: 1}
     for orbit, factor in zip(iterated, factors):
-        if len(set(factor)) != len(factor):
+        members = set(factor)
+        if len(members) != len(factor):
             raise MalformedMultisetError(f"orbit of {orbit.dominant} has repeated elements")
         classes: dict[tuple[bool, ...], list] = {}
         merged: dict[tuple[int, ...], int] = {}
         for lam, mult in parts.items():
             zeros = tuple([not (lam[i] or lam[i + 1]) for i in range(0, len(lam), 2)])
             if zeros not in classes:
-                classes[zeros] = _stabilizer_classes(group, factor, zeros, orbit.dominant)
+                classes[zeros] = _stabilizer_classes(group, factor, members, zeros,
+                                                     orbit.dominant)
             tally: dict[tuple[int, ...], int] = {}
             for y, size in classes[zeros]:
                 nu, _ = group._to_dominant_flat(map(add, lam, y))
                 tally[nu] = tally.get(nu, 0) + size
             lam_size = group._orbit_sizes[zeros]
             for nu, count in tally.items():
-                m, rest = divmod(lam_size * count, _flat_orbit_size(group, nu))
+                nu_size = _flat_orbit_size(group, nu)
+                m, rest = divmod(lam_size * count, nu_size)
                 if rest:
-                    raise MalformedMultisetError(
-                        f"{count} sums reach a dominant of an orbit of "
-                        f"{_flat_orbit_size(group, nu)} points from one of {lam_size}"
-                    )
+                    raise MalformedMultisetError(f"{count} sums reach a dominant of an orbit of "
+                                                 f"{nu_size} points from one of {lam_size}")
                 merged[nu] = merged.get(nu, 0) + mult * m
         parts = merged
-    total = prod(len(orbit.elements) for orbit in orbits)
-    covered = sum(mult * _flat_orbit_size(group, nu) for nu, mult in parts.items())
-    if covered != total:
-        raise MalformedMultisetError(
-            f"dominant tally covers {covered} of {total} product points"
-        )
     weights = _unflatten(group, parts, denom)
     return Decomposition(group, dict(zip(weights, parts.values())))

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import random_dominant
 from test_acceptance import TABLE_CLASSES, random_class_weight
+from test_groups import _reference_reduce_flat
 from horbits.errors import (
     DomainError,
     GroupMismatchError,
@@ -663,6 +664,91 @@ def test_product_rejects_points_off_the_stabilizer_orbits():
         corrupted = Orbit(H3, small.dominant, tuple(broken))
         with pytest.raises(MalformedMultisetError, match=message):
             decompose_product([big, corrupted])
+
+
+def test_product_checks_the_size_of_the_larger_orbit():
+    # the larger orbit gives only its dominant to the product rule
+    big = generate_orbit(H3, H3.weight(1, 1, 0))
+    small = generate_orbit(H3, H3.weight(1, 0, 0))
+    elements = list(big.elements)
+    for broken, count in ((elements[1:], 59), (elements + [elements[0].scaled(2)], 61)):
+        corrupted = Orbit(H3, big.dominant, tuple(broken))
+        for orbits in ([corrupted, small], [small, corrupted]):
+            with pytest.raises(MalformedMultisetError, match=f"has {count} elements, not 60"):
+                decompose_product(orbits)
+
+
+def _double(row):
+    return tuple(2 * v for v in row)
+
+
+def _stabilizer_orbit(group, flat, J):
+    """The W_J-orbit of a flat row: its closure under the reflections of ``J``."""
+    orbit, frontier = {flat}, [flat]
+    while frontier:
+        frontier = [image for x in frontier for i in J
+                    for image in [_reflect_flat(x, i, group._int_rows[i])] if image not in orbit]
+        orbit.update(frontier)
+    return orbit
+
+
+def _is_stabilizer_union(group, rows, J):
+    """The reference: rows are a disjoint union of W_J-orbits when they are
+    distinct, each J-reduces, by the re-scan loop, into the rows, and the
+    W_J-orbits of the rows that take no step have sizes summing to their number."""
+    members = set(rows)
+    reduced = [_reference_reduce_flat(group, y, J) for y in rows]
+    return (len(members) == len(rows)
+            and all(x in members for x, _ in reduced)
+            and sum(len(_stabilizer_orbit(group, y, J))
+                    for y, (_, steps) in zip(rows, reduced) if not steps) == len(rows))
+
+
+@pytest.mark.parametrize("group, coords, samples", [(H3, "1,0,0", 12), (H4, "1,0,0,0", 4)],
+                         ids=["H3", "H4"])
+def test_product_rule_rejects_exactly_the_non_unions_of_stabilizer_orbits(group, coords, samples):
+    # for each zero pattern J of the larger dominant, the product rule rejects
+    # a corrupted factor exactly when it is no union of W_J-orbits
+    rng = random.Random(41 * group.rank)
+    small = generate_orbit(group, group.parse_weight(coords))
+    flats, denom = _flatten(small.elements)
+    n = len(flats)
+    seen = set()
+    for pattern in itertools.product((0, 1), repeat=group.rank):
+        if not any(pattern):
+            continue  # the zero orbit is never the larger one
+        big = generate_orbit(group, _product_seed(group, rng, pattern))
+        assert len(big) >= n
+        J = [i for i, flag in enumerate(pattern) if not flag]
+        for _ in range(samples):
+            k, m = rng.sample(range(n), 2)
+            y = flats[k]
+            orbit = _stabilizer_orbit(group, y, J)
+            corruptions = [
+                {k: _double(y)},  # a row scaled
+                {k: flats[m]},  # a row replaced by another row
+                {k: _double(flats[m])},  # ... or by another row scaled
+                {r: _double(x) for r, x in enumerate(flats) if x in orbit},  # a W_J-orbit scaled
+            ]
+            if J:  # a row replaced by its J-reflection image
+                i = rng.choice(J)
+                corruptions.append({k: _reflect_flat(y, i, group._int_rows[i])})
+            cases = [[changes.get(r, x) for r, x in enumerate(flats)] for changes in corruptions]
+            cases.append(flats[:k] + flats[k + 1:] + [flats[m]])  # a row dropped, another duplicated
+            for rows in cases:
+                corrupted = Orbit(group, small.dominant, tuple(_unflatten(group, rows, denom)))
+                try:
+                    parts = decompose_product([big, corrupted])
+                except MalformedMultisetError as error:
+                    outcome = str(error)
+                else:
+                    outcome = "accepted"
+                    assert parts.total_points() == len(big) * n
+                union = _is_stabilizer_union(group, rows, J)
+                assert (outcome == "accepted") == union, (pattern, outcome)
+                seen.add(next((key for key in ("repeated", "closed", "cover") if key in outcome),
+                              outcome))
+    assert seen >= {"repeated", "closed", "cover", "accepted"}
 
 
 def test_product_rejects_a_non_dominant_seed():
