@@ -83,15 +83,21 @@ def _flat_orbit_size(group: Group, flat) -> int:
     return group._orbit_sizes[tuple(zeros)]
 
 
+def _held_rows(weights) -> _OrbitRows | None:
+    """The rows a generated orbit holds: the source of a view made by
+    :func:`generate_orbit`, or ``None`` for any other weight sequence."""
+    source = getattr(weights, "_source", None)
+    return source if isinstance(source, _OrbitRows) else None
+
+
 def _flatten_lists(lists) -> tuple[list[list[tuple[int, ...]]], int]:
     """Flat rows of several weight sequences over their least common
     denominator: a generated orbit's elements give the rows they hold, any
     other sequence is flattened, and rows are scaled to the shared one."""
     parts = []
     for weights in lists:
-        source = getattr(weights, "_source", None)
-        parts.append((source.rows, source.denom) if isinstance(source, _OrbitRows)
-                     else _flatten(weights))
+        source = _held_rows(weights)
+        parts.append((source.rows, source.denom) if source else _flatten(weights))
     denom = lcm(*(d for _, d in parts))
     return [rows if d == denom else [tuple(v * (denom // d) for v in row) for row in rows]
             for rows, d in parts], denom
@@ -152,11 +158,12 @@ def _by_norm(group: Group, items) -> list:
 
 
 class _OrbitRows:
-    """The orbit of a dominant flat row ``seed`` over ``denom``: its flat
-    rows and its elements, each built on first read."""
+    """The orbit of a dominant weight, held as its flat row ``seed`` over
+    ``denom``: its flat rows and its elements, each built on first read."""
 
-    def __init__(self, group: Group, seed: tuple[int, ...], denom: int):
-        self.group, self.seed, self.denom = group, seed, denom
+    def __init__(self, dominant: Weight):
+        self.dominant, self.group = dominant, dominant.group
+        (self.seed,), self.denom = _flatten([dominant])
 
     @cached_property
     def rows(self) -> list[tuple[int, ...]]:
@@ -284,9 +291,9 @@ def generate_orbit(group: Group, dominant: Weight) -> Orbit:
     first read of an item.  Products read the rows directly.
     """
     group._own_dominant(dominant)
-    (seed,), denom = _flatten([dominant])
+    source = _OrbitRows(dominant)
     return Orbit(group, dominant, _RecordList(
-        _OrbitRows(group, seed, denom), "elements", _flat_orbit_size(group, seed)))
+        source, "elements", _flat_orbit_size(group, source.seed)))
 
 
 def orbit_sum(orbits) -> WeightMultiset:
@@ -351,38 +358,26 @@ def decompose(multiset: WeightMultiset) -> Decomposition:
     return out
 
 
-def _stabilizer_classes(group: Group, factor, members, zeros,
-                        name) -> list[tuple[tuple[int, ...], int]]:
+def _stabilizer_classes(group: Group, factor, zeros) -> list[tuple[tuple[int, ...], int]]:
     """The flat orbit ``factor`` as ``(y, |W_J y|)`` pairs, one per W_J-orbit.
 
     ``J``, the true ``zeros``, is the zero set of a dominant ``lambda``; its
     stabilizer ``W_J`` fixes ``dom(lambda + y)`` on each W_J-orbit.  Each
     W_J-orbit meets the closed J-chamber ``{y : y_i >= 0, i in J}`` exactly
     once (Humphreys, *Reflection Groups and Coxeter Groups*, 1990,
-    1.10-1.12), in a ``y`` of W_J-orbit size ``|W_J| / |W_{J & zeros(y)}|``.
-    The elements are distinct, with set ``members``.  Each one outside the
-    J-chamber must have its J-parent, its image at its least J index with a
-    negative coordinate, among them, so that it J-reduces to a kept ``y``;
-    then the kept sizes summing to ``len(factor)`` make the elements the
-    disjoint union of the kept W_J-orbits.
+    1.10-1.12), in a ``y`` of W_J-orbit size ``|W_J| / |W_{J & zeros(y)}|``,
+    so the rows of that chamber are kept.
     """
     J = [i for i, zero in enumerate(zeros) if zero]
     stab = group._orbit_sizes[zeros]
-    reps: dict[tuple[int, ...], int] = {}
+    classes = []
     for y in factor:
         # both parts >= 0 make a coordinate >= 0; the exact test takes the rest
-        i = next((i for i in J if (y[2 * i] < 0 or y[2 * i + 1] < 0)
-                  and _sign_pair(y[2 * i], y[2 * i + 1]) < 0), None)
-        if i is None:
-            reps[y] = group._orbit_sizes[tuple(
-                [zero and not (y[2 * j] or y[2 * j + 1]) for j, zero in enumerate(zeros)])] // stab
-        elif _reflect_flat(y, i, group._int_rows[i]) not in members:
-            raise MalformedMultisetError(f"orbit of {name} is not closed under its J-reflections")
-    covered = sum(reps.values())
-    if covered != len(factor):
-        raise MalformedMultisetError(
-            f"W_J-orbits cover {covered} of the {len(factor)} elements of the orbit of {name}")
-    return list(reps.items())
+        if not any((y[2 * i] < 0 or y[2 * i + 1] < 0) and _sign_pair(y[2 * i], y[2 * i + 1]) < 0
+                   for i in J):
+            classes.append((y, group._orbit_sizes[tuple(
+                [z and not (y[2 * j] or y[2 * j + 1]) for j, z in enumerate(zeros)])] // stab))
+    return classes
 
 
 def decompose_product(orbits) -> Decomposition:
@@ -395,8 +390,11 @@ def decompose_product(orbits) -> Decomposition:
     (:func:`_stabilizer_classes`); a dominant ``nu`` reached ``count`` times
     gains multiplicity ``m * |O_lambda| * count / |O_nu|``.  The first
     product iterates over the smaller of the two orbits.  No sum point set
-    is formed.  Every seed must be dominant and every orbit of its size: with
-    each step's W_J cover and divisibility, ``sum(mult * |O_nu|) == prod |O_i|``.
+    is formed.  Every seed must be dominant and every orbit's elements the
+    orbit :func:`_orbit_flats` builds from it; the view
+    :func:`generate_orbit` made from this same dominant is that orbit, so its
+    rows are not built for the check.  Then each multiplicity is an integer
+    and ``sum(mult * |O_nu|) == prod |O_i|``.
     """
     orbits = list(orbits)
     group = _one_group(orbits, "decompose_product", 2)
@@ -405,35 +403,32 @@ def decompose_product(orbits) -> Decomposition:
         if len(orbit.elements) != size:
             raise MalformedMultisetError(
                 f"orbit of {orbit.dominant} has {len(orbit.elements)} elements, not {size}")
+        source = _held_rows(orbit.elements)
+        if not (source and source.dominant == orbit.dominant):
+            (seed, *rows), _ = _flatten([orbit.dominant, *orbit.elements])
+            if set(rows) != set(_orbit_flats(group, seed)):
+                raise MalformedMultisetError(
+                    f"elements of the orbit of {orbit.dominant} are not its orbit")
     first, second = sorted(orbits[:2], key=len, reverse=True)
     iterated = [second, *orbits[2:]]
     ((seed,), *factors), denom = _flatten_lists(
         [[first.dominant], *(orbit.elements for orbit in iterated)])
 
     parts = {seed: 1}
-    for orbit, factor in zip(iterated, factors):
-        members = set(factor)
-        if len(members) != len(factor):
-            raise MalformedMultisetError(f"orbit of {orbit.dominant} has repeated elements")
+    for factor in factors:
         classes: dict[tuple[bool, ...], list] = {}
         merged: dict[tuple[int, ...], int] = {}
         for lam, mult in parts.items():
             zeros = tuple([not (lam[i] or lam[i + 1]) for i in range(0, len(lam), 2)])
             if zeros not in classes:
-                classes[zeros] = _stabilizer_classes(group, factor, members, zeros,
-                                                     orbit.dominant)
+                classes[zeros] = _stabilizer_classes(group, factor, zeros)
             tally: dict[tuple[int, ...], int] = {}
             for y, size in classes[zeros]:
                 nu, _ = group._to_dominant_flat(map(add, lam, y))
                 tally[nu] = tally.get(nu, 0) + size
-            lam_size = group._orbit_sizes[zeros]
+            scale = mult * group._orbit_sizes[zeros]
             for nu, count in tally.items():
-                nu_size = _flat_orbit_size(group, nu)
-                m, rest = divmod(lam_size * count, nu_size)
-                if rest:
-                    raise MalformedMultisetError(f"{count} sums reach a dominant of an orbit of "
-                                                 f"{nu_size} points from one of {lam_size}")
-                merged[nu] = merged.get(nu, 0) + mult * m
+                merged[nu] = merged.get(nu, 0) + scale * count // _flat_orbit_size(group, nu)
         parts = merged
     weights = _unflatten(group, parts, denom)
     return Decomposition(group, dict(zip(weights, parts.values())))

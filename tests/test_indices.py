@@ -374,6 +374,30 @@ def test_embedding_index_guards():
         embedding_index(H2, branching_rule(H2, A1), H2.zero_weight())
 
 
+def _custom_rule(*rows):
+    return BranchingRule(H3, H2, tuple(tuple(map(golden, row)) for row in rows),
+                         H3.weight(1, 0, 0))
+
+
+def test_custom_projection_guards():
+    lam = H3.weight(1, 1, 0)
+    # one row for a rank-2 child: every branching function needs two
+    short = _custom_rule((0, 1, 0))
+    for call in (branch_decompose, branch_layers, embedding_index):
+        with pytest.raises(DomainError, match="H2 weight needs 2 coordinates, got 1"):
+            call(H3, short, lam)
+    # coordinates 1 and 3 do not map the orbit onto whole H2 orbits
+    split = _custom_rule((1, 0, 0), (0, 0, 1))
+    for call in (branch_decompose, embedding_index):
+        with pytest.raises(DomainError, match="branching tally covers 150 of 60 points"):
+            call(H3, split, lam)
+    # every point projects to zero: 60 copies of the zero orbit, of index 0
+    flat = _custom_rule((0, 0, 0), (0, 0, 0))
+    assert branch_decompose(H3, flat, lam).parts == {H2.zero_weight(): 60}
+    with pytest.raises(DomainError, match="branched image has vanishing order-2 index"):
+        embedding_index(H3, flat, lam)
+
+
 def test_coordinate_slots_carry_equal_multisets(rng):
     for _ in range(4):
         lam = random_dominant(H3, rng, max_coef=2)
