@@ -24,15 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, GroupMismatchError, _check_int
-from .golden import GoldenNumber, ONE, TAU, ZERO, _pair_pow, _sign_pair
+from .golden import GoldenNumber, ONE, TAU, ZERO, _pair_pow
 from .groups import A1, A2, Group, H2, H3, Weight, _flatten, _pair_dot, _unflatten, get_group
 from .orbits import (
     Decomposition,
     WeightMultiset,
     _element_order,
-    _flat_orbit_size,
     _norm_order,
     _orbit_flats,
+    _orbit_parts,
     _pair_ranks,
 )
 
@@ -247,28 +247,17 @@ def branching_rule(parent, child) -> BranchingRule:
 def branch_decompose(group: Group, rule: BranchingRule, dominant: Weight) -> Decomposition:
     """Project an orbit onto the subgroup and tally child orbits.
 
-    Every element is projected; as with products, each child orbit copy
-    contributes exactly one dominant point, so the dominant images are
-    tallied.  They are tallied in the element order of
+    Every element is projected; the images must be a union of whole child
+    orbits (:func:`horbits.orbits._orbit_parts`), each of which contributes
+    exactly one dominant image.  They are tallied in the element order of
     :func:`generate_orbit`, which fixes the order of ``parts``.
     """
     _check_rule(group, rule)
     group._own_dominant(dominant)
     rows, scale = _int_projection(rule)
     (seed,), denom = _flatten([dominant])
-    orbit = _orbit_flats(group, seed)
-    images = {}
-    for x in orbit:
-        image = _project_flat(rows, x)
-        if all(_sign_pair(image[i], image[i + 1]) >= 0 for i in range(0, len(image), 2)):
-            images[x] = image
-    parts = Counter(images[x] for x in _element_order(images))
-    covered = sum(count * _flat_orbit_size(rule.child, image)
-                  for image, count in parts.items())
-    if covered != len(orbit):
-        raise DomainError(
-            f"branching tally covers {covered} of {len(orbit)} points"
-        )
+    orbit = _element_order(_orbit_flats(group, seed))
+    parts, _ = _orbit_parts(rule.child, Counter(_project_flat(rows, x) for x in orbit))
     weights = _unflatten(rule.child, parts, denom * scale)
     return Decomposition(rule.child, dict(zip(weights, parts.values())))
 
@@ -287,7 +276,9 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
     """Slice an orbit into child orbits on parallel planes orthogonal to v.
 
     Each element is projected and reflected to the child's dominant chamber
-    as a flat integer row, and its height is the integer pair ``x . u``
+    as a flat integer row, once per distinct image; the images must be a
+    union of whole child orbits, as in :func:`branch_decompose`.  The
+    height of an element is the integer pair ``x . u``
     with ``u = adj @ v`` over the shared denominator ``D``.  Layers come by
     descending height, then in the listing order of
     :func:`horbits.orbits._norm_order` of their child dominants, both
@@ -303,10 +294,9 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
     (seed, v), denom = _flatten([dominant, direction])
     u = group._adj_flat(v)
     child = rule.child
-    tally = Counter(
-        (_pair_dot(x, u), child._to_dominant_flat(_project_flat(rows, x))[0])
-        for x in _orbit_flats(group, seed)
-    )
+    images = {x: _project_flat(rows, x) for x in _orbit_flats(group, seed)}
+    _, dominants = _orbit_parts(child, Counter(images.values()))
+    tally = Counter((_pair_dot(x, u), dominants[image]) for x, image in images.items())
     heights = list(dict.fromkeys(h for h, _ in tally))
     children = list(dict.fromkeys(c for _, c in tally))
     height_rank = dict(zip(heights, _pair_ranks(heights)))

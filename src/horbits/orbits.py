@@ -15,6 +15,7 @@ weighted by the size of that orbit.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
@@ -335,27 +336,31 @@ def orbit_product(orbits, max_points: int = MAX_MATERIALIZED_POINTS) -> WeightMu
     return out
 
 
-def decompose(multiset: WeightMultiset) -> Decomposition:
-    """Resolve a union of whole orbits into dominant points with multiplicity.
-
-    Every orbit contributes exactly one dominant element, so the multiplicity
-    of an orbit equals the count of its dominant point in the multiset.  The
-    bookkeeping identity sum(mult * orbit size) == total count is enforced.
+def _orbit_parts(group: Group, tally) -> tuple[dict, dict]:
+    """The multiplicities of the orbits that make up distinct flat rows with
+    counts, keyed by dominant row in tally order, and the dominant of each
+    row.  Each orbit has exactly one dominant point (Humphreys 1990, 1.12),
+    so the rows are a union of whole orbits exactly when every row has its
+    dominant's count and every dominant has as many rows as orbit points.
     """
+    dominants = {x: group._to_dominant_flat(x)[0] for x in tally}
+    classes = Counter(dominants.values())
+    for x, nu in dominants.items():
+        size = _flat_orbit_size(group, nu)
+        if tally.get(nu) != tally[x] or classes[nu] != size:
+            raise MalformedMultisetError(
+                f"multiset is not a union of orbits: {classes[nu]} of the {size} points of an "
+                f"orbit, one with count {tally[x]}, its dominant with count {tally.get(nu, 0)}")
+    return {x: count for x, count in tally.items() if dominants[x] == x}, dominants
+
+
+def decompose(multiset: WeightMultiset) -> Decomposition:
+    """Resolve a union of whole orbits (:func:`_orbit_parts`) into dominant
+    points with multiplicity, the count of each orbit's one dominant point."""
     group = multiset.group
-    out = Decomposition(group)
-    multiset._check(multiset.tally.items())
-    covered = 0
-    for w, count in multiset.tally.items():
-        if w.is_dominant:
-            out.add(w, count)
-            covered += count * group.orbit_size(w)
-    if covered != multiset.total():
-        raise MalformedMultisetError(
-            f"multiset is not a union of orbits: {covered} accounted, "
-            f"{multiset.total()} present"
-        )
-    return out
+    rows, counts, denom = multiset._flat()
+    parts, _ = _orbit_parts(group, dict(zip(rows, counts)))
+    return Decomposition(group, dict(zip(_unflatten(group, parts, denom), parts.values())))
 
 
 def _stabilizer_classes(group: Group, factor, zeros) -> list[tuple[tuple[int, ...], int]]:

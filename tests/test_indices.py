@@ -6,7 +6,7 @@ import re
 import pytest
 
 from conftest import random_dominant
-from horbits.errors import DomainError, GroupMismatchError, NonDominantError
+from horbits.errors import DomainError, GroupMismatchError, MalformedMultisetError, NonDominantError
 from horbits.golden import GoldenNumber, TAU, ZERO, golden
 from horbits.groups import A1, A2, H2, H3, H4, Weight
 from horbits.indices import (
@@ -388,8 +388,8 @@ def test_custom_projection_guards():
             call(H3, short, lam)
     # coordinates 1 and 3 do not map the orbit onto whole H2 orbits
     split = _custom_rule((1, 0, 0), (0, 0, 1))
-    for call in (branch_decompose, embedding_index):
-        with pytest.raises(DomainError, match="branching tally covers 150 of 60 points"):
+    for call in (branch_decompose, branch_layers, embedding_index):
+        with pytest.raises(MalformedMultisetError, match="not a union of orbits"):
             call(H3, split, lam)
     # every point projects to zero: 60 copies of the zero orbit, of index 0
     flat = _custom_rule((0, 0, 0), (0, 0, 0))

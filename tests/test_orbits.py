@@ -234,10 +234,26 @@ def test_decomposition_equality():
     assert same != multiset and multiset != same
 
 
-def test_decompose_rejects_partial_orbit():
+# corruptions of the H2 (1,0) orbit, from its dominant and its other points
+_H2_CORRUPTIONS = {
+    "point dropped": lambda top, rest: {top: 1, **dict.fromkeys(rest[:-1], 1)},
+    # one point replaced by 3 times another: a total of 5, one dominant of an orbit of 5
+    "point scaled": lambda top, rest: {top: 1, rest[1].scaled(3): 1,
+                                       **dict.fromkeys(rest[1:], 1)},
+    "point moved": lambda top, rest: {top: 1, rest[0]: 2, **dict.fromkeys(rest[1:-1], 1)},
+    "point recounted": lambda top, rest: {top: 1, rest[0]: 2, **dict.fromkeys(rest[1:], 1)},
+    "dominant recounted": lambda top, rest: {top: 2, **dict.fromkeys(rest, 1)},
+    "lone dominant added": lambda top, rest: {top: 1, top.scaled(2): 1,
+                                              **dict.fromkeys(rest, 1)},
+}
+
+
+@pytest.mark.parametrize("corrupt", _H2_CORRUPTIONS.values(), ids=_H2_CORRUPTIONS)
+def test_decompose_rejects_partial_orbit(corrupt):
     orbit = generate_orbit(H2, H2.weight(1, 0))
-    broken = WeightMultiset(H2, {w: 1 for w in orbit.elements[:-1]})
-    with pytest.raises(MalformedMultisetError):
+    rest = [w for w in orbit.elements if w != orbit.dominant]
+    broken = WeightMultiset(H2, corrupt(orbit.dominant, rest))
+    with pytest.raises(MalformedMultisetError, match="not a union of orbits"):
         decompose(broken)
 
 
@@ -710,14 +726,14 @@ def _is_stabilizer_union(group, rows, J):
 def test_product_rule_rejects_exactly_the_non_unions_of_stabilizer_orbits(group, coords, samples):
     # for each zero pattern J of the larger dominant, the product rule rejects
     # every corrupted factor, the unions of W_J-orbits among them: a W_J-orbit
-    # scaled is one.  The union identity of decompose() rejects the
-    # materialized product of some of those, so the rule's results for them
-    # were wrong, and passes others, so it is no orbit check
+    # scaled is one.  decompose() rejects the materialized product of each of
+    # those: the group ring of the weight lattice has no zero divisors, so a
+    # product is a union of orbits only when each factor is
     rng = random.Random(41 * group.rank)
     small = generate_orbit(group, group.parse_weight(coords))
     flats, denom = _flatten(small.elements)
     n = len(flats)
-    materialized = caught = 0
+    materialized = 0
     for pattern in itertools.product((0, 1), repeat=group.rank):
         if not any(pattern):
             continue  # the zero orbit is never the larger one
@@ -747,12 +763,9 @@ def test_product_rule_rejects_exactly_the_non_unions_of_stabilizer_orbits(group,
                     decompose_product([big, corrupted])
             if len(big) * n <= 20_000:  # the last one, the W_J-orbit scaled
                 materialized += 1
-                try:
+                with pytest.raises(MalformedMultisetError, match="not a union of orbits"):
                     decompose(orbit_product([big, corrupted]))
-                except MalformedMultisetError as error:
-                    assert "not a union of orbits" in str(error)
-                    caught += 1
-    assert materialized >= samples and caught
+    assert materialized >= samples
 
 
 def test_product_rejects_a_non_dominant_seed():
@@ -795,6 +808,16 @@ def test_orbit_length_and_rows_build_no_weight(monkeypatch):
     assert orbit_product([generate_orbit(H3, w) for w in small]).total() == 360
     assert not built
     assert len(a.elements[:1]) == 1 and len(built) == 1440
+
+
+def test_decompose_builds_one_weight_per_part(monkeypatch):
+    orbits = [generate_orbit(H3, H3.weight(*c)) for c in ((1, 1, 0), (0, 1, 1))]
+    product = orbit_product(orbits)
+    built = _count_weights(monkeypatch)
+    parts = decompose(product)
+    # the product's 2,600 distinct rows are read as rows
+    assert len(built) == len(parts.parts) == 31
+    assert parts == decompose_product(orbits)
 
 
 def _count_closures(monkeypatch):
