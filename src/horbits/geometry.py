@@ -5,30 +5,34 @@ The omega-basis is mapped to Cartesian coordinates by a matrix ``M`` with
 products reproduce the exact inner product to floating precision.  A seed's
 weight system then yields one concentric shell per lower-orbit dominant,
 exported as OBJ polylines or JSON.  The shells are computed on flat
-integer rows and both files are written from templates, byte for byte as
+integer rows and kept as those rows and their float Cartesian points, and
+both files are written from the arrays through templates, byte for byte as
 the per-point construction and ``json.dumps`` would write them.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_TREE_NODES, DomainError, _write_text
+from .errors import MAX_TREE_NODES, DomainError, SizeLimitError, _write_text
 from .golden import _sign_pair, golden
-from .groups import Group, Weight, _flatten, _unflatten
-from .orbits import _orbit_flats, _pair_ranks
+from .groups import Group, Weight, _flatten, _RecordList, _unflatten
+from .orbits import MAX_MATERIALIZED_POINTS, _flat_orbit_size, _orbit_flats, _pair_ranks
 from .weightsys import (
     _adj_arrays,
     _adj_times,
+    _check_args,
+    _closure,
     _distinct_rows,
     _json_list,
+    _pair_texts,
     _step_matrices,
-    weight_system_dominants,
 )
 
 __all__ = [
@@ -60,10 +64,20 @@ def embed(group: Group) -> CartesianEmbedding:
 
 @dataclass(frozen=True)
 class Shell:
+    """One lower orbit: its dominant, radius, points and minimal edges.
+
+    A shell of :func:`nested_polyhedra` holds its part of the arrays the
+    shells were built from: ``points`` (Cartesian float tuples) and
+    ``points_exact`` (weights) are read-only views whose length is known at
+    once, and whose records are built on the first read of an item and then
+    kept.  A shell made from tuples, such as a ``dataclasses.replace`` copy,
+    holds those tuples.
+    """
+
     dominant: Weight
     radius: float
-    points: tuple[tuple[float, ...], ...]
-    points_exact: tuple[Weight, ...]
+    points: Sequence[tuple[float, ...]]
+    points_exact: Sequence[Weight]
     edges: tuple[tuple[int, int], ...]
 
 
@@ -72,6 +86,50 @@ class NestedPolyhedra:
     group: Group
     seed: Weight
     shells: tuple[Shell, ...]
+
+
+class _ShellArrays(NamedTuple):
+    """The points of all shells as the writers read them, shell after shell."""
+
+    group: Group
+    rows: np.ndarray  # flat int64 rows of the exact points
+    denom: int  # the denominator of the rows
+    cartesian: np.ndarray  # float64 Cartesian points
+    sizes: list[int]  # points of each shell
+
+
+class _ShellRows:
+    """Shell ``index`` of held arrays, points ``start`` to ``stop``: the
+    source of its two views, each record field built on first read."""
+
+    def __init__(self, arrays: _ShellArrays, index: int, start: int, stop: int):
+        self.arrays, self.index, self.start, self.stop = arrays, index, start, stop
+
+    @cached_property
+    def points(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.arrays.cartesian[self.start:self.stop].tolist()))
+
+    @cached_property
+    def points_exact(self) -> tuple[Weight, ...]:
+        held = self.arrays
+        return tuple(_unflatten(held.group, held.rows[self.start:self.stop].tolist(), held.denom))
+
+
+def _pair_columns(rows: np.ndarray, convert) -> np.ndarray:
+    """``convert`` of each coordinate pair of flat int64 rows, one column per
+    coordinate; ``convert`` maps an array of distinct pairs to one value each.
+
+    The pairs are made distinct a coordinate at a time and then among those
+    found, so ``convert`` sees each distinct pair once, and no sort runs
+    over all coordinates of all points: its arrays would be several times
+    the size of the rows.
+    """
+    found = [_distinct_rows(rows[:, i:i + 2]) for i in range(0, rows.shape[1], 2)]
+    distinct, inverse = _distinct_rows(np.concatenate([pairs for pairs, _ in found]))
+    values = convert(distinct)[inverse]
+    ends = accumulate(len(pairs) for pairs, _ in found)
+    return np.column_stack([values[end - len(pairs):end][at]
+                            for (pairs, at), end in zip(found, ends)])
 
 
 def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:
@@ -107,10 +165,12 @@ def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:
         level, first = level[keep], step[keep]
         levels.append(level)
     rows = np.concatenate(levels)
-    # generate_orbit's order: exact ranks of the few distinct coordinates, descending
-    distinct, inverse = _distinct_rows(rows[:, 1:].reshape(-1, 2))
-    codes = -np.array(_pair_ranks(list(map(tuple, distinct.tolist()))))[inverse]
-    order = np.lexsort((*codes.reshape(len(rows), -1)[:, ::-1].T, rows[:, 0]))
+    del levels  # the levels alone match the rows in size
+    # generate_orbit's order: exact ranks of the few distinct coordinates,
+    # descending; lexsort compares them within one coordinate
+    codes = _pair_columns(rows[:, 1:], lambda pairs: -np.array(
+        _pair_ranks(list(map(tuple, pairs.tolist())))))
+    order = np.lexsort((*codes.T[::-1], rows[:, 0]))
     return rows[order, 1:], np.bincount(rows[:, 0], minlength=len(flats)).tolist()
 
 
@@ -126,7 +186,8 @@ def _shell_edges(group: Group, rows: np.ndarray, sizes: list[int],
     ``beta``, and all roots have one length, so the edges are the ``(x, x -
     m*beta)`` with ``<x,beta> = m``; one root of each ``+-beta`` finds each once.
     """
-    (alpha,), _ = _flatten([group.simple_roots[0]])
+    # alpha_1 is row 1 of the Cartan matrix, whose entries are in Z[tau]
+    alpha = [part for v in group.cartan[0] for part in (int(v.rat), int(v.tau))]
     # every bond of H2, H3 and H4 has an odd label, so all roots are images of
     # alpha_1, and of the highest root, the orbit's dominant point
     highest, _ = group._to_dominant_flat(alpha)
@@ -164,102 +225,154 @@ def nested_polyhedra(group: Group, seed: Weight,
                      max_nodes: int = MAX_TREE_NODES) -> NestedPolyhedra:
     """One shell per lower-orbit dominant of the seed's weight system.
 
-    Shells follow the exact listing order of :func:`weight_system_dominants`
-    (norm descending, then coordinates).  Minimal-distance edges, found
-    exactly from reflections, are part of the export for ranks up to 3
-    only: rank-4 shells have none, and OBJ has no rank-4 realization.
-    ``max_nodes`` is the size guard of the weight-system closure.
+    Shells follow the exact listing order of
+    :func:`horbits.weightsys.weight_system_dominants` (norm descending, then
+    coordinates), whose closure gives the dominant rows.  Minimal-distance
+    edges, found exactly from reflections, are part of the export for ranks
+    up to 3 only: rank-4 shells have none, and OBJ has no rank-4
+    realization.  ``max_nodes`` is the size guard of the weight-system
+    closure; the shells' points, summed from the orbit sizes of the
+    dominants, are bounded by ``MAX_MATERIALIZED_POINTS`` before any is built.
 
-    All shells' orbits are built together as flat integer rows and turned
-    into weights by one call; each distinct coordinate pair of the rows is
-    converted to a float once.  The Cartesian points come from ``M @ v``
-    stacked over all points, which gives the floats of one product per
-    point (one ``points @ M.T`` need not: BLAS may fuse its multiply-adds).
+    All shells' orbits are built together as flat integer rows, and each
+    distinct coordinate pair of the rows is converted to a float once.  The
+    Cartesian points come from ``M @ v`` stacked over all points, which
+    gives the floats of one product per point (one ``points @ M.T`` need
+    not: BLAS may fuse its multiply-adds).  The shells keep both arrays
+    (:class:`Shell`); a ``Weight`` is built for each dominant only.
     """
-    dominants = [w for w, _ in weight_system_dominants(group, seed, max_nodes=max_nodes)]
-    flats, denom = _flatten(dominants)
+    _check_args(group, seed, max_nodes)
+    rows, _, lower, _ = _closure(group, seed, max_nodes, tree=False)
+    flats = rows[lower].tolist()  # Z[tau] seeds: over the denominator 1
+    total = sum(_flat_orbit_size(group, flat) for flat in flats)
+    if total > MAX_MATERIALIZED_POINTS:
+        raise SizeLimitError(
+            f"nested polyhedra have {total} points (> {MAX_MATERIALIZED_POINTS})")
     rows, sizes = _orbit_rows(group, flats)
-    least = [min(filter(any, zip(f[0::2], f[1::2])), key=lambda p: golden(*p), default=(0, 0))
-             for f in flats]
+    # each dominant's least nonzero coordinate, by the exact ranks of all coordinates
+    pairs = [list(zip(f[0::2], f[1::2])) for f in flats]
+    rank = dict(zip(chain(*pairs), _pair_ranks(list(chain(*pairs)))))
+    least = [min(filter(any, p), key=rank.__getitem__, default=(0, 0)) for p in pairs]
     edges = _shell_edges(group, rows, sizes, least) if group.rank <= 3 else [()] * len(sizes)
-    exact = _unflatten(group, rows.tolist(), denom)
-    pairs, inverse = _distinct_rows(rows.reshape(-1, 2))
-    omega = np.array([float(golden(Fraction(a, denom), Fraction(b, denom)))
-                      for a, b in pairs.tolist()], np.float64)[inverse]
-    basis = embed(group).basis_matrix
-    cartesian = (basis @ omega.reshape(-1, group.rank, 1))[:, :, 0]
-    shells = tuple(Shell(
-        dominant=dominant,
-        radius=float(np.sqrt(float(group.inner(dominant, dominant)))),
-        points=tuple(map(tuple, cartesian[end - size:end].tolist())),
-        points_exact=tuple(exact[end - size:end]),
-        edges=shell_edges,
-    ) for dominant, size, end, shell_edges in zip(dominants, sizes, accumulate(sizes), edges))
-    return NestedPolyhedra(group, seed, shells)
+    omega = _pair_columns(rows, lambda pairs: np.array(
+        [float(golden(a, b)) for a, b in pairs.tolist()], np.float64))
+    cartesian = (embed(group).basis_matrix @ omega[:, :, None])[:, :, 0]
+    held = _ShellArrays(group, rows, 1, cartesian, sizes)
+    shells = []
+    for index, (dominant, flat, size, end, shell_edges) in enumerate(
+            zip(_unflatten(group, flats, 1), flats, sizes, accumulate(sizes), edges)):
+        part = _ShellRows(held, index, end - size, end)
+        shells.append(Shell(
+            dominant=dominant,
+            # group.inner(dominant, dominant), from the flat row
+            radius=float(np.sqrt(float(group._over_det(group._det_norm_pair(flat), 1, 1)))),
+            points=_RecordList(part, "points", size),
+            points_exact=_RecordList(part, "points_exact", size),
+            edges=shell_edges,
+        ))
+    return NestedPolyhedra(group, seed, tuple(shells))
 
 
-def _float_texts(shells, render) -> list[list[str]]:
-    """``render(float(x))`` of every point coordinate, flat per shell.
+def _shell_arrays(poly: NestedPolyhedra) -> _ShellArrays:
+    """The points of a result as arrays: those :func:`nested_polyhedra` made,
+    while every shell's two point fields are its views of them, in order;
+    else the shells' records, read once."""
+    sources = [getattr(v, "_source", None) for s in poly.shells
+               for v in (s.points, s.points_exact)]
+    held = getattr(sources[0], "arrays", None) if sources else None
+    if held is not None and len(held.sizes) == len(poly.shells) and all(
+            isinstance(p, _ShellRows) and p.arrays is held and p.index == k // 2
+            for k, p in enumerate(sources)):
+        return held
+    sizes = [len(s.points) for s in poly.shells]
+    if sizes != [len(s.points_exact) for s in poly.shells]:
+        raise DomainError("every shell needs as many points as exact points")
+    rank = poly.group.rank
+    flats, denom = _flatten([w for s in poly.shells for w in s.points_exact])
+    # |parts| < 2**62: the int64 rows, and their distinct pairs, stay exact
+    if max((abs(v) for flat in flats for v in flat), default=0) >> 62:
+        raise SizeLimitError("shell coordinates exceed the int64 range of the writers")
+    return _ShellArrays(
+        poly.group, np.array(flats, np.int64).reshape(-1, 2 * rank), denom,
+        np.array([p for s in poly.shells for p in s.points], np.float64).reshape(-1, rank), sizes)
 
-    ``render`` runs once per distinct float, told apart by bit pattern so
-    that ``0.0`` and ``-0.0`` (equal as dict keys) keep their own texts.
+
+def _float_texts(values: np.ndarray, render) -> np.ndarray:
+    """The texts of each float64 of a 2-D array, as an object array.
+
+    ``render`` maps the list of distinct bit patterns of a column, as
+    floats, to their texts, so that ``0.0`` and ``-0.0`` (equal as floats)
+    keep their own texts.
     """
-    values = np.fromiter(chain.from_iterable(chain.from_iterable(s.points for s in shells)),
-                         np.float64)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([render(x) for x in bits.view(np.float64).tolist()],
-                     dtype=object)[inverse].tolist()
-    counts = [sum(map(len, s.points)) for s in shells]
-    return [texts[end - n:end] for n, end in zip(counts, accumulate(counts))]
+    def column(x):
+        bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+        return np.array(render(bits.view(np.float64).tolist()), dtype=object)[inverse.reshape(-1)]
+
+    # a column at a time, the sort's arrays have the size of one coordinate
+    return np.column_stack([column(x) for x in values.T])
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    """``json.dumps(x)`` of each float, from one call."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
 
 
 def export_obj(poly: NestedPolyhedra, path) -> None:
     """Write shells as OBJ points (``v``) and polyline edges (``l``).
 
     OBJ is 3-dimensional: rank-2 groups are padded with z = 0 and rank-4
-    data has no 3-D realization here, so it is rejected (use JSON).  Each
-    shell is written from a template, with one text per distinct float.
+    data has no 3-D realization here, so it is rejected (use JSON).  The
+    points are read as arrays (:func:`_shell_arrays`), and each shell is
+    written from a template, with one text per distinct float.
     """
     rank = poly.group.rank
     if rank > 3:
         raise DomainError("OBJ export supports rank <= 3; use JSON for H4")
+    arrays = _shell_arrays(poly)
+    coords = _float_texts(arrays.cartesian, lambda values: list(map("{:.15g}".format, values)))
     vertex = "v " + " ".join(["%s"] * rank + ["0"] * (3 - rank)) + "\n"
-    parts = [f"# nested orbits of {poly.group.tag}, seed ({poly.seed.text()})\n"]
-    offset = 1  # OBJ vertices are numbered from 1
-    for index, (shell, coords) in enumerate(
-            zip(poly.shells, _float_texts(poly.shells, "{:.15g}".format))):
-        parts.append(f"g shell{index}\n")
-        parts.append(vertex * len(shell.points) % tuple(coords))
-        parts.append("l %d %d\n" * len(shell.edges)
-                     % tuple([offset + k for edge in shell.edges for k in edge]))
-        offset += len(shell.points)
-    _write_text(path, parts)
+
+    def shells():
+        offset = 1  # OBJ vertices are numbered from 1
+        for index, (shell, size, end) in enumerate(
+                zip(poly.shells, arrays.sizes, accumulate(arrays.sizes))):
+            yield (f"g shell{index}\n"
+                   + vertex * size % tuple(coords[end - size:end].ravel().tolist())
+                   + "l %d %d\n" * len(shell.edges)
+                   % tuple([offset + k for edge in shell.edges for k in edge]))
+            offset += size
+
+    head = f"# nested orbits of {poly.group.tag}, seed ({poly.seed.text()})\n"
+    _write_text(path, chain([head], shells()))
 
 
 def export_json(poly: NestedPolyhedra, path) -> None:
     """Write shells with exact omega-coordinates and float Cartesian points.
 
     Byte for byte ``json.dumps(payload, indent=2) + "\n"``, written shell by
-    shell from templates: exact coordinates are quoted as they are (their
-    canonical text has no character that JSON escapes, and each number
-    renders it once), floats with one text per distinct float.
+    shell from templates and the points' arrays (:func:`_shell_arrays`):
+    exact coordinates are quoted as they are (their canonical text has no
+    character that JSON escapes), with one text per distinct coordinate
+    pair, and floats with one text per distinct float.
     """
     rank = poly.group.rank
-    floats = _float_texts(poly.shells, json.dumps)
+    arrays = _shell_arrays(poly)
+    exact = _pair_columns(arrays.rows, lambda pairs: _pair_texts(pairs, arrays.denom))
+    floats = _float_texts(arrays.cartesian, _json_floats)
     quoted = _json_list(['"%s"'] * rank, 8)
     row = _json_list(["%s"] * rank, 8)
     edge = _json_list(["%d", "%d"], 8)
 
     def shells():
-        for index, (s, texts) in enumerate(zip(poly.shells, floats)):
+        for index, (s, size, end) in enumerate(
+                zip(poly.shells, arrays.sizes, accumulate(arrays.sizes))):
             yield (",\n    " if index else "[\n    ") + (
                 '{\n      "dominant": %s,\n      "radius": %s,\n      "points_exact": %s,'
                 '\n      "points": %s,\n      "edges": %s\n    }'
                 % (_json_list(['"%s"'] * rank, 6) % s.dominant.coords,
                    json.dumps(s.radius),
-                   _json_list([quoted] * len(s.points_exact), 6)
-                   % tuple(chain.from_iterable(map(attrgetter("coords"), s.points_exact))),
-                   _json_list([row] * len(s.points), 6) % tuple(texts),
+                   _json_list([quoted] * size, 6) % tuple(exact[end - size:end].ravel().tolist()),
+                   _json_list([row] * size, 6) % tuple(floats[end - size:end].ravel().tolist()),
                    _json_list([edge] * len(s.edges), 6)
                    % tuple([k for e in s.edges for k in e])))
 

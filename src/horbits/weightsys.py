@@ -124,13 +124,19 @@ class _TreeArrays:
         self.root = root.astype(np.int8)
 
     def __getstate__(self):
-        # the arrays alone: a copy builds its records again on first use
+        # the arrays alone: a copy builds its records and texts again on first use
         return {key: value for key, value in vars(self).items()
-                if key not in ("weights", *_RECORD_FIELDS)}
+                if key not in ("weights", "point_texts", *_RECORD_FIELDS)}
 
     @cached_property
     def weights(self) -> list[Weight]:
         return _unflatten(self.group, self.rows.tolist(), 1)
+
+    @cached_property
+    def point_texts(self) -> list[tuple[str, ...]]:
+        """The coordinate texts of each point, which both writers read."""
+        points = _pair_texts(self.rows.reshape(-1, 2)).reshape(-1, self.group.rank)
+        return list(zip(*points.T.tolist()))
 
     @cached_property
     def nodes(self) -> list[SubtractionNode]:
@@ -158,10 +164,9 @@ class _TreeArrays:
 
     def table(self) -> _Table:
         """The index table of the tree (:func:`_table`), from the arrays alone."""
-        points = _pair_texts(self.rows.reshape(-1, 2)).reshape(-1, self.group.rank)
         target = self.target.tolist()
         return _Table(
-            list(zip(*points.T.tolist())),
+            self.point_texts,
             self.counts.tolist(),
             zip([0, *target], [True, *self.first.tolist()]),
             zip(self.source.tolist(), target,
@@ -786,11 +791,12 @@ class _Table(NamedTuple):
     dominants: Iterable[tuple[int, int]]  # (point, count)
 
 
-def _pair_texts(pairs: np.ndarray) -> np.ndarray:
-    """The canonical text of ``a + b*tau`` for each int64 row ``(a, b)``, as
-    an object array; each distinct pair is rendered once."""
+def _pair_texts(pairs: np.ndarray, denom: int = 1) -> np.ndarray:
+    """The canonical text of ``(a + b*tau) / denom`` for each int64 row
+    ``(a, b)``, as an object array; each distinct pair is rendered once."""
     distinct, inverse = _distinct_rows(pairs.astype(np.int64))
-    texts = [str(GoldenNumber(a, b)) for a, b in distinct.tolist()]
+    texts = [str(GoldenNumber(Fraction(a, denom), Fraction(b, denom)))
+             for a, b in distinct.tolist()]
     return np.array(texts, dtype=object)[inverse]
 
 

@@ -22,6 +22,19 @@ def random_dominant(group, rng: random.Random, max_coef: int = 3,
             return w
 
 
+def _count_weights(monkeypatch):
+    """A list that grows by one for each ``Weight`` built from now on."""
+    built = []
+    post_init = Weight.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Weight, "__post_init__", counted)
+    return built
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240517)

@@ -1,14 +1,18 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import random_dominant
+from conftest import _count_weights, random_dominant
 from horbits import geometry
-from horbits.errors import DomainError
-from horbits.groups import A1, H2, H3, H4, _flatten
+from horbits.errors import DomainError, SizeLimitError
+from horbits.groups import A1, H2, H3, H4, _flatten, _RecordList
 from horbits.geometry import (
     NestedPolyhedra,
     Shell,
@@ -304,7 +308,7 @@ def _assert_same_files(poly, ref, tmp_path):
         assert (tmp_path / f"new.{suffix}").read_bytes() == (tmp_path / f"ref.{suffix}").read_bytes()
 
 
-@pytest.mark.parametrize("group, text", [
+_REFERENCE_SEEDS = [
     (H2, "3,5"),
     (H3, "1,0,0"), (H3, "0,0,1"), (H3, "2,2,0"), (H3, "3,1,0"), (H3, "2,1t,1"),
     # one shell of 12 points, least coordinate tau**-30 with parts near 1.3e6
@@ -312,7 +316,10 @@ def _assert_same_files(poly, ref, tmp_path):
     (H4, "0,0,0,1"), (H4, "1,0,0,1"),
     # coordinates past the packed keys: the orbit search keys raw row bytes
     (H4, "110000001+110000000t,0,0,0"),
-], ids=lambda v: getattr(v, "tag", v))
+]
+
+
+@pytest.mark.parametrize("group, text", _REFERENCE_SEEDS, ids=lambda v: getattr(v, "tag", v))
 def test_nested_polyhedra_match_the_per_point_reference(group, text, tmp_path):
     seed = group.parse_weight(text)
     poly = nested_polyhedra(group, seed)
@@ -344,3 +351,117 @@ def test_export_keeps_signed_zeros_apart(tmp_path):
     assert obj[2:5] == ["v 0 -0 1.5", "v -0 0 -1.5", "v -0 -0 0"]
     assert json.loads((tmp_path / "new.json").read_text())["shells"][0]["points"][2] == [-0.0, -0.0, 0.0]
     assert "-0.0,\n          -0.0,\n          0.0\n" in (tmp_path / "new.json").read_text()
+
+
+# -- shells on arrays ---------------------------------------------------------
+
+
+def _written(poly, tmp_path, name):
+    """The bytes of the JSON file of ``poly``, and of its OBJ file up to rank 3."""
+    files = {"json": export_json}
+    if poly.group.rank <= 3:
+        files["obj"] = export_obj
+    out = {}
+    for suffix, write in files.items():
+        write(poly, tmp_path / f"{name}.{suffix}")
+        out[suffix] = (tmp_path / f"{name}.{suffix}").read_bytes()
+    return out
+
+
+def _plain(shells):
+    """Copies of shells whose point fields are tuples."""
+    return tuple(dataclasses.replace(s, points=tuple(s.points), points_exact=tuple(s.points_exact))
+                 for s in shells)
+
+
+def test_nested_polyhedra_build_a_weight_per_dominant_only(monkeypatch, tmp_path):
+    seed = H3.weight(2, 2, 0)
+    built = _count_weights(monkeypatch)
+    poly = nested_polyhedra(H3, seed)
+    assert len(poly.shells) == 35 and len(built) == 35
+    assert [s.dominant for s in poly.shells] == built
+    assert sum(len(s.points) + len(s.points_exact) for s in poly.shells) == 2 * 1675
+    # both writers read the arrays
+    _written(poly, tmp_path, "held")
+    assert len(built) == 35
+    # the first read of a shell's exact points builds that shell's weights
+    shell = poly.shells[3]
+    assert isinstance(shell.points_exact, _RecordList)
+    first = shell.points_exact[0]
+    assert len(built) == 35 + len(shell.points_exact) == 35 + 60
+    assert first == generate_orbit(H3, shell.dominant).elements[0]
+
+
+@pytest.mark.parametrize("group, text", _REFERENCE_SEEDS, ids=lambda v: getattr(v, "tag", v))
+def test_shells_of_tuples_write_the_same_files(group, text, tmp_path):
+    poly = nested_polyhedra(group, group.parse_weight(text))
+    want = _written(poly, tmp_path, "held")
+    plain = dataclasses.replace(poly, shells=_plain(poly.shells))
+    assert all(type(s.points) is tuple and type(s.points_exact) is tuple for s in plain.shells)
+    assert plain == poly
+    assert _written(plain, tmp_path, "plain") == want
+    # one shell of tuples, or held views of some shells or in another order:
+    # read from records
+    mixed = dataclasses.replace(poly, shells=plain.shells[:1] + poly.shells[1:])
+    assert _written(mixed, tmp_path, "mixed") == want
+    for part in (slice(1, None), slice(None, None, -1)):
+        views = dataclasses.replace(poly, shells=poly.shells[part])
+        assert (_written(views, tmp_path, "views")
+                == _written(dataclasses.replace(poly, shells=plain.shells[part]), tmp_path, "want"))
+
+
+def test_shells_of_tuples_are_checked_before_they_are_written(tmp_path):
+    poly = nested_polyhedra(H3, H3.weight(1, 0, 0))
+    (shell,) = _plain(poly.shells)
+    thin = dataclasses.replace(poly, shells=(dataclasses.replace(shell, points=shell.points[:-1]),))
+    with pytest.raises(DomainError, match="as many points as exact points"):
+        export_json(thin, tmp_path / "thin.json")
+    # 2**62 over the denominator 3: parts past the exact int64 range of the rows
+    for part in (2 ** 62, 2 ** 62 - 1):
+        far = H3.weight(Fraction(part, 3), 0, Fraction(-1, 3))
+        big = dataclasses.replace(poly, shells=(dataclasses.replace(
+            shell, points=shell.points[:1], points_exact=(far,)),))
+        if part == 2 ** 62:
+            with pytest.raises(SizeLimitError, match="int64 range"):
+                export_json(big, tmp_path / "big.json")
+        else:
+            export_json(big, tmp_path / "big.json")
+            payload = json.loads((tmp_path / "big.json").read_text())
+            assert payload["shells"][0]["points_exact"] == [[str(c) for c in far.coords]]
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy,
+                                   copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_nested_result_pickles_and_copies(clone, tmp_path):
+    seed = H3.weight(2, 1, 0)
+    want = _written(nested_polyhedra(H3, seed), tmp_path, "want")
+    for read in (False, True):
+        poly = nested_polyhedra(H3, seed)
+        if read:
+            for shell in poly.shells:
+                shell.points[0], shell.points_exact[0]
+        copied = clone(poly)
+        # the copy still holds one set of arrays behind all its views
+        assert geometry._shell_arrays(copied) is copied.shells[0].points._source.arrays
+        assert _written(copied, tmp_path, f"copy{read}") == want
+        assert copied == poly and copied.group is H3
+        assert copied.shells[0].points_exact[0].group is H3
+
+
+def test_point_guard_trips_before_the_orbit_search(monkeypatch):
+    # the 35 shells of H3 (2,2,0) have 1,675 points
+    calls = []
+    orbit_rows = geometry._orbit_rows
+
+    def spy(*args):
+        calls.append(args)
+        return orbit_rows(*args)
+
+    monkeypatch.setattr(geometry, "_orbit_rows", spy)
+    monkeypatch.setattr(geometry, "MAX_MATERIALIZED_POINTS", 1674)
+    with pytest.raises(SizeLimitError, match=r"^nested polyhedra have 1675 points \(> 1674\)$"):
+        nested_polyhedra(H3, H3.weight(2, 2, 0))
+    assert not calls
+    monkeypatch.setattr(geometry, "MAX_MATERIALIZED_POINTS", 1675)
+    poly = nested_polyhedra(H3, H3.weight(2, 2, 0))
+    assert len(calls) == 1 and sum(len(s.points) for s in poly.shells) == 1675

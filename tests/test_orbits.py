@@ -9,7 +9,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from conftest import random_dominant
+from conftest import _count_weights, random_dominant
 from test_acceptance import TABLE_CLASSES, random_class_weight
 from test_groups import _reference_reduce_flat
 from horbits.errors import (
@@ -779,19 +779,6 @@ def test_product_rejects_a_non_dominant_seed():
 
 def _eager(orbit):
     return Orbit(orbit.group, orbit.dominant, tuple(orbit.elements))
-
-
-def _count_weights(monkeypatch):
-    """A list that grows by one for each ``Weight`` built from now on."""
-    built = []
-    post_init = Weight.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Weight, "__post_init__", counted)
-    return built
 
 
 def test_orbit_length_and_rows_build_no_weight(monkeypatch):

@@ -896,6 +896,28 @@ def test_json_export_matches_json_dumps(make):
     assert tree_to_json(tree) == json.dumps(_json_payload(tree), indent=2) + "\n"
 
 
+def test_tree_writers_render_the_point_texts_once(monkeypatch):
+    tree = build_tree(H4, H4.weight(1, 0, 0, 1))
+    arrays = tree.nodes._source
+    texts = tree_to_json(tree), tree_to_dot(tree)
+    calls = []
+    pair_texts = weightsys._pair_texts
+
+    def spy(pairs, *args):
+        calls.append(len(pairs))
+        return pair_texts(pairs, *args)
+
+    monkeypatch.setattr(weightsys, "_pair_texts", spy)
+    assert (tree_to_json(tree), tree_to_dot(tree)) == texts
+    # the point texts are kept from the first writer; each writer renders its multiples
+    assert calls == [len(arrays.source)] * 2
+    # a copy renders them again on first use
+    assert "point_texts" in vars(arrays) and "point_texts" not in arrays.__getstate__()
+    copied = copy.deepcopy(tree)
+    assert "point_texts" not in vars(copied.nodes._source)
+    assert tree_to_dot(copied) == texts[1] and len(calls) == 4
+
+
 def test_results_pickle_and_copy():
     # copies rebuild numbers from their parts and keep the group singletons
     number = golden(Fraction(-3, 2), Fraction(5, 7))
