@@ -306,19 +306,21 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
     before.  Each point is expanded once, so its arrival count is the number
     of times it is emitted as a child.
 
-    Dominants mode prunes to the positive root cone and keeps the visited
-    keys in three sorted arrays: the dominant points with a count array, and
-    the other points in a main and a recent run.  A level's new other keys
-    are merged into the recent run, which is merged into the main run once
-    it holds a quarter as many keys (O'Neil et al., "The log-structured
-    merge-tree", Acta Inf. 33, 1996), so a key is copied a few times, not
-    once per level.  Tree mode keeps every point and numbers it first in,
-    first out: a level's children are put in order of parent, root index
-    and multiple, so a point's first visit is the first occurrence of its
-    key.  Returns ``(rows, counts, lower, edges)``: the dominant rows (tree
-    mode: every point's row, by number), their arrival counts, the
-    positions of the lower dominants in listing order, and in tree mode the
-    edges ``(source, target, ma, mb, root, first_visit)`` as arrays.
+    One visited set serves both modes: a main and a recent sorted run.  A
+    level's new keys are merged into the recent run, which is merged into
+    the main run once it holds a quarter as many keys (O'Neil et al., "The
+    log-structured merge-tree", Acta Inf. 33, 1996), so a key is copied a
+    few times, not once per level.  Dominants mode prunes to the positive
+    root cone and keeps its dominant points apart, as sorted keys with a
+    count array.  Tree mode keeps every point and numbers it first in,
+    first out: a level's children come by parent, root index and multiple,
+    so its new points are numbered in the order of their first occurrence.
+    Its edges keep their child keys, and one sort of the numbered keys at
+    the end turns each into a point number.  Returns ``(rows, counts,
+    lower, edges)``: the dominant rows (tree mode: every point's row, by
+    number), their arrival counts, the positions of the lower dominants in
+    listing order, and in tree mode the edges ``(source, target, ma, mb,
+    root, first_visit)`` as arrays.
     """
     width = 2 * group.rank
     U, V = _step_matrices(group)
@@ -333,16 +335,12 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         key_u, key_v = ((M << _lane_shifts(bits, width)).sum(axis=1) for M in (U, V))
         gram = np.array(group.gram, dtype=float)
     keys, counts, seen = _row_keys(frontier, bits), np.zeros(1, dtype=np.int64), 1
-    if tree:
-        # the sorted visited keys and the number of each; the rows, their
-        # dominance and the edges of each level
-        visited, ids = keys, np.zeros(1, dtype=np.int64)
-        levels, events = [], []
-    else:
-        # the dominants met so far, as sorted keys and arrival counts, and
-        # the other visited keys as two sorted runs
-        dom_keys, dom_counts = keys[:0], counts[:0]
-        main = recent = keys[:0]
+    # the visited keys as two sorted runs; dominants mode keeps its dominant
+    # points apart, as sorted keys with arrival counts
+    main = recent = dom_keys = keys[:0]
+    dom_counts = counts[:0]
+    # tree mode: the rows, their dominance and keys, and the edges of each level
+    levels, events = [], []
     while len(frontier):
         if bits is not None:
             # a static float filter (Shewchuk, DCG 18, 1997): a nonzero a + b*tau
@@ -359,18 +357,19 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         # column by column: numpy reduces the short rows far more slowly
         dominant = np.logical_and.reduce([column >= 0 for column in signs.T])
         if tree:
-            levels.append((frontier, dominant))
+            levels.append((frontier, dominant, keys))
         else:
             at = np.searchsorted(dom_keys, keys[dominant])
             dom_keys = np.insert(dom_keys, at, keys[dominant])
             dom_counts = np.insert(dom_counts, at, counts[dominant])
-            # keys[~dominant] is sorted, so the stable sort is a linear merge;
-            # sorting in place holds no third copy of the main run
-            recent = np.concatenate([recent, keys[~dominant]])
-            recent.sort(kind="stable")
-            if 4 * len(recent) >= len(main):
-                main, recent = np.concatenate([main, recent]), recent[:0]
-                main.sort(kind="stable")
+        # dominants mode's keys are sorted (tree mode's come first in, first
+        # out), so the stable sort is a linear merge; sorting in place holds
+        # no third copy of the main run
+        recent = np.concatenate([recent, keys if tree else keys[~dominant]])
+        recent.sort(kind="stable")
+        if 4 * len(recent) >= len(main):
+            main, recent = np.concatenate([main, recent]), recent[:0]
+            main.sort(kind="stable")
         root, parent, sa, sb, n = _child_steps(frontier, signs, roots,
                                                budget=8 * max_nodes - seen)
         if not len(n):
@@ -384,32 +383,20 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
             keys = _row_keys(np.repeat(frontier[parent], n, axis=0)
                              - k[:, None] * np.repeat(step, n, axis=0), None)
         if tree:
-            root, parent = np.repeat(root, n), np.repeat(parent, n)
-            ma, mb = k * np.repeat(sa, n), k * np.repeat(sb, n)
-            # first in, first out: by parent, then root index, then multiple
-            order = np.argsort(parent, kind="stable")
-            keys, root, parent, ma, mb = (a[order] for a in (keys, root, parent, ma, mb))
-            # equal keys are equal rows; new keys are numbered in the order
-            # of their first occurrence
-            keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            pos = np.searchsorted(visited, keys)
-            new = _missing(visited, keys, pos)
-            fresh = np.flatnonzero(new)[np.argsort(first[new])]
-            number = np.empty(len(keys), dtype=np.int64)
-            number[~new] = ids[pos[~new]]
-            number[fresh] = seen + np.arange(len(fresh))
-            visits = new[inverse] & (first[inverse] == np.arange(len(inverse)))
             # the frontier holds the points numbered last
-            events.append((seen - len(frontier) + parent, number[inverse],
-                           ma, mb, root, visits))
-            ids = np.insert(ids, pos[new], number[new])
-            visited = np.insert(visited, pos[new], keys[new])
-            keys = keys[fresh]
+            events.append((seen - len(frontier) + np.repeat(parent, n), keys,
+                           k * np.repeat(sa, n), k * np.repeat(sb, n), np.repeat(root, n)))
+        # tree mode: the first position of each key among the children;
+        # dominants mode: its count
+        keys, counts = np.unique(keys, return_index=tree, return_counts=not tree)
+        for run in (main, recent):
+            new = _missing(run, keys, np.searchsorted(run, keys))
+            keys, counts = keys[new], counts[new]
+        if tree:
+            # the children come by parent, then root index and multiple, so
+            # new points are numbered first in, first out
+            keys = keys[np.argsort(counts)]
         else:
-            keys, counts = np.unique(keys, return_counts=True)
-            for run in (main, recent):
-                new = _missing(run, keys, np.searchsorted(run, keys))
-                keys, counts = keys[new], counts[new]
             # a revisited dominant was tallied when it was new
             at = np.searchsorted(dom_keys, keys)
             hit = ~_missing(dom_keys, keys, at)
@@ -424,11 +411,16 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         rows = _unpack_keys(dom_keys, bits, width)
         return rows, dom_counts, _listing_order(rows, adj), None
     # a nonzero dominant seed has a positive coordinate, so there are edges
-    rows, dominant = (np.concatenate(column) for column in zip(*levels))
-    edges = tuple(np.concatenate(column) for column in zip(*events))
+    rows, dominant, numbered = (np.concatenate(column) for column in zip(*levels))
+    source, children, ma, mb, root = (np.concatenate(column) for column in zip(*events))
+    order = np.argsort(numbered)
+    target = order[np.searchsorted(numbered, children, sorter=order)]
+    # points are numbered in the order of their first visits, and no edge
+    # returns to the seed, point 0
+    first = np.diff(np.maximum.accumulate(target), prepend=0) > 0
     lower = np.flatnonzero(dominant)
-    return (rows, np.bincount(edges[1], minlength=len(rows)),
-            lower[_listing_order(rows[lower], adj)], edges)
+    return (rows, np.bincount(target, minlength=len(rows)),
+            lower[_listing_order(rows[lower], adj)], (source, target, ma, mb, root, first))
 
 
 def _listing_order(rows: np.ndarray, adj) -> np.ndarray:
@@ -449,7 +441,7 @@ def _det_norms(rows, adj) -> list[tuple[int, int]]:
             rows = np.array(rows, dtype=object)
         rows = rows.reshape(-1, 2 * len(adj[0]))
     # |det * <x,x>| <= 8 * rank**2 * max|adj| * max|x|**2; past int64, use Python ints
-    bound = 2 * rows.shape[1] ** 2 * int(np.abs(adj).max()) * int(np.abs(rows).max(initial=0)) ** 2
+    bound = 2 * rows.shape[1] ** 2 * max(map(_max_abs, adj)) * _max_abs(rows) ** 2
     exact = rows.astype(object) if bound >= 1 << 63 else rows
     roots_a, roots_b = _adj_times(exact, adj)
     a, b = exact[:, 0::2], exact[:, 1::2]
@@ -483,14 +475,19 @@ def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every caller tests points of a weight system or their root coordinates,
     so an out-of-range input raises the closure's int64-range error."""
     s = 2 * a + b  # a + b*tau = (s + b*sqrt5) / 2
-    bound = max(int(np.abs(s).max(initial=0)), int(np.abs(b).max(initial=0)))
-    if bound > _MAX_COORD:
+    if max(_max_abs(s), _max_abs(b)) > _MAX_COORD:
         raise SizeLimitError(_OUT_OF_RANGE)
     sign_s = np.sign(s)
     sign_b = np.sign(b)
     return np.where(sign_s * sign_b < 0,
                     sign_s * np.sign(s * s - 5 * b * b),
                     np.sign(sign_s + sign_b))
+
+
+def _max_abs(x: np.ndarray) -> int:
+    """``max |x|`` over an integer array (0 if empty) with no ``np.abs`` copy;
+    negating a Python int cannot wrap at the int64 minimum."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
 def _adj_arrays(group: Group) -> tuple[np.ndarray, np.ndarray]:
@@ -525,14 +522,15 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, budget: int,
     Row ``x = frontier[parents[j]]``, whose coordinate ``x_i = a + b*tau``
     (``i = root[j]``) is positive, with ``g = gcd(|a|, |b|)``, has the string
     of children ``x - k*s*alpha_i``, ``s = sa[j] + sb[j]*tau = x_i/g``, for
-    ``k = 1..n[j]``; strings come by root, then parent, and those with no
-    child are left out.  ``signs`` holds the signs of the frontier
-    coordinates, or float64 values with those signs.  Without ``roots``,
-    ``n = g``.  With ``roots``, the root coordinates of the frontier, only
-    the children in the positive root cone are kept: subtracting
-    ``k*s*alpha_i`` lowers only root coordinate ``r_i``, by ``k*s``, so they
-    are the prefix ``k <= r_i/s`` of the string, and a point outside the
-    cone never reaches a dominant point again.  The prefix is exact: counted
+    ``k = 1..n[j]``; strings come by parent, then root, in one pass over the
+    positive coordinates, and those with no child are left out.  ``signs``
+    holds the signs of the frontier coordinates, or float64 values with
+    those signs.  Without ``roots``, ``n = g``.  With ``roots``, the root
+    coordinates of the frontier, only the children in the positive root
+    cone are kept: subtracting ``k*s*alpha_i`` lowers only root coordinate
+    ``r_i``, by ``k*s``, so they are the prefix ``k <= r_i/s`` of the
+    string, and a point outside the cone never reaches a dominant point
+    again.  The prefix is exact: counted
     on integer pairs when ``roots`` is ``((ra, rb), (da, db))``
     (:func:`_adj_times`, ``cartan_det``), and ``n = min(g, floor((r_i +
     _CONE_EPS)/s))`` in float64 when ``roots`` is a float array, for rows of
@@ -540,41 +538,40 @@ def _child_steps(frontier: np.ndarray, signs: np.ndarray, roots, budget: int,
     checked against ``budget`` before any step array is allocated;
     ``over_budget`` is the message, with fields ``total`` and ``budget``.
     """
-    plans = []
-    total = 0
-    for i in range(frontier.shape[1] // 2):
-        rows = np.flatnonzero(signs[:, i] > 0)
-        if not len(rows):
-            continue
-        fa = frontier[rows, 2 * i]
-        fb = frontier[rows, 2 * i + 1]
-        g = np.gcd(fa, fb)
-        total += int(g.sum())
-        plans.append((i, rows, fa, fb, g))
+    # np.nonzero reads row by row: by parent, then root
+    parents, root = np.nonzero(signs > 0)
+    # one flat gather per part from the frontier's columns (a view of the
+    # column-major frontiers of _unpack_keys) beats 2-D indexing
+    columns, at = frontier.T.ravel(), 2 * len(frontier) * root + parents
+    fa, fb = columns[at], columns[at + len(frontier)]
+    g = np.gcd(fa, fb)
+    total = int(g.sum())
     if total > budget:
         raise SizeLimitError(over_budget.format(total=total, budget=budget))
-    strings = [(np.zeros(0, dtype=np.int64),) * 5]
-    while plans:  # each plan is dropped once its strings are made
-        i, rows, fa, fb, g = plans.pop(0)
-        # exact: g divides parts below 2**31, and float64 division rounds correctly
-        sa = (fa / g).astype(np.int64)
-        sb = (fb / g).astype(np.int64)
-        if roots is None:
-            n = g
-        elif isinstance(roots, tuple):
-            ((ra, rb), (da, db)), k = roots, _ranks(g)
-            reps = np.repeat(np.arange(len(rows)), g)
-            ma, mb, parents = k * sa[reps], k * sb[reps], rows[reps]
-            inside = _signs(ra[parents, i] - (da * ma + db * mb),
-                            rb[parents, i] - (da * mb + db * ma + db * mb)) >= 0
-            n = np.bincount(reps[inside], minlength=len(rows))
-        else:
-            # astype truncates: the floor of a quotient >= 0, and below 1 either way
-            quotient = (roots[rows, i] + _CONE_EPS) / (sa + sb * _TAU_F)
-            n = np.minimum(g, quotient.astype(np.int64))
-        keep = n > 0
-        strings.append((np.full(int(keep.sum()), i), rows[keep], sa[keep], sb[keep], n[keep]))
-    return tuple(np.concatenate(column) for column in zip(*strings))
+    # exact: g divides parts below 2**31, and float64 division rounds correctly
+    sa = (fa / g).astype(np.int64)
+    sb = (fb / g).astype(np.int64)
+    del fa, fb, at
+    if roots is None:
+        n = g
+    elif isinstance(roots, tuple):
+        ((ra, rb), (da, db)), k = roots, _ranks(g)
+        reps = np.repeat(np.arange(len(g)), g)
+        ma, mb, cells = k * sa[reps], k * sb[reps], (parents[reps], root[reps])
+        inside = _signs(ra[cells] - (da * ma + db * mb),
+                        rb[cells] - (da * mb + db * ma + db * mb)) >= 0
+        n = np.bincount(reps[inside], minlength=len(g))
+    else:
+        # (r_i + _CONE_EPS) / (sa + sb*tau), in place, and n in place of g;
+        # astype truncates: the floor of a quotient >= 0, and below 1 either way
+        quotient = roots[parents, root]
+        quotient += _CONE_EPS
+        quotient /= sb * _TAU_F + sa
+        n = np.minimum(g, quotient.astype(np.int64), out=g)
+        del quotient
+    # the strings with a child; an index array gathers faster than a mask
+    keep = np.flatnonzero(n > 0)
+    return root[keep], parents[keep], sa[keep], sb[keep], n[keep]
 
 
 def _ranks(n: np.ndarray) -> np.ndarray:
@@ -618,7 +615,7 @@ def _unpack_keys(keys: np.ndarray, bits: int | None, width: int) -> np.ndarray:
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct int64 rows of ``rows`` and ``inverse``: ``distinct[inverse] == rows``."""
-    bits = _key_bits(rows.shape[1], int(np.abs(rows).max(initial=0)))
+    bits = _key_bits(rows.shape[1], _max_abs(rows))
     keys, inverse = np.unique(_row_keys(rows, bits), return_inverse=True)
     return _unpack_keys(keys, bits, rows.shape[1]), inverse.reshape(-1)
 

@@ -559,13 +559,25 @@ def test_fast_dominants_reject_int64_overflow():
                                 max_nodes=10_000)
 
 
-def test_fast_dominants_node_guard_trips_before_allocation():
+def test_signs_range_test_reads_the_int64_minimum():
+    # np.abs wraps the int64 minimum to itself, a negative bound that would
+    # pass the range test; the test reads the extremes as Python ints
+    low = np.iinfo(np.int64).min
+    assert weightsys._max_abs(np.array([low, 5])) == 1 << 63
+    assert weightsys._max_abs(np.zeros((0, 4), dtype=np.int64)) == 0
+    with pytest.raises(SizeLimitError):
+        weightsys._signs(np.zeros(1, dtype=np.int64), np.array([low]))
+
+
+@pytest.mark.parametrize("closure", [build_tree, weight_system_dominants],
+                         ids=lambda f: f.__name__)
+def test_fast_dominants_node_guard_trips_before_allocation(closure):
     # the seed alone has 10**6 children (gcd step count of its coordinate),
-    # so the guard must fire before the level is built
+    # so the guard must fire before the level is built, in both modes
     tracemalloc.start()
     try:
-        with pytest.raises(SizeLimitError):
-            weight_system_dominants(H3, H3.weight(10**6, 0, 0), max_nodes=1_000)
+        with pytest.raises(SizeLimitError, match="over the node budget"):
+            closure(H3, H3.weight(10**6, 0, 0), max_nodes=1_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -657,7 +669,24 @@ FIFO_SEEDS = [(H2, "1t,1"), (H3, "3,1,0"), (H3, "2,1t,1"), (H3, "1+2t,2+1t,1"),
               (H4, "1,0,0,1"), (H4, "0,0,0,12+1t")]
 
 
-@pytest.mark.parametrize("group,text", FIFO_SEEDS)
+def _random_seeds(count, seed):
+    """``count`` distinct nonzero dominant H2 and H3 seeds, drawn from a seeded
+    generator, with coordinates ``a + b*tau``, ``-1 <= a <= 2``, ``0 <= b <= 2``."""
+    rng = random.Random(seed)
+    coords = [str(golden(a, b)) for a in range(-1, 3) for b in range(3) if a >= 0 or b]
+    seeds = []
+    while len(seeds) < count:
+        group = rng.choice((H2, H3))
+        pick = (group, ",".join(rng.choice(coords) for _ in range(group.rank)))
+        if pick not in seeds and not group.parse_weight(pick[1]).is_zero:
+            seeds.append(pick)
+    return seeds
+
+
+RANDOM_SEEDS = _random_seeds(8, 2718)
+
+
+@pytest.mark.parametrize("group,text", FIFO_SEEDS + RANDOM_SEEDS)
 def test_build_tree_matches_fifo_reference(group, text):
     _assert_tree_is_fifo(build_tree(group, group.parse_weight(text)))
 
@@ -727,6 +756,12 @@ def test_build_tree_exact_keys_past_packing(monkeypatch):
         switched.clear()
         _assert_tree_is_fifo(build_tree(seed.group, seed))
         assert set(switched) == {bits}, seed
+    # and a few random seeds with no lanes at all, on row keys throughout
+    monkeypatch.setattr(weightsys, "_key_bits", lambda width, bound: None)
+    for group, text in RANDOM_SEEDS[:4]:
+        switched.clear()
+        _assert_tree_is_fifo(build_tree(group, group.parse_weight(text)))
+        assert set(switched) == {None}, text
 
 
 @pytest.mark.parametrize("group,text", [
