@@ -31,6 +31,7 @@ from .weightsys import (
     _closure,
     _distinct_rows,
     _json_list,
+    _pair_columns,
     _pair_texts,
     _step_matrices,
 )
@@ -113,23 +114,6 @@ class _ShellRows:
     def points_exact(self) -> tuple[Weight, ...]:
         held = self.arrays
         return tuple(_unflatten(held.group, held.rows[self.start:self.stop].tolist(), held.denom))
-
-
-def _pair_columns(rows: np.ndarray, convert) -> np.ndarray:
-    """``convert`` of each coordinate pair of flat int64 rows, one column per
-    coordinate; ``convert`` maps an array of distinct pairs to one value each.
-
-    The pairs are made distinct a coordinate at a time and then among those
-    found, so ``convert`` sees each distinct pair once, and no sort runs
-    over all coordinates of all points: its arrays would be several times
-    the size of the rows.
-    """
-    found = [_distinct_rows(rows[:, i:i + 2]) for i in range(0, rows.shape[1], 2)]
-    distinct, inverse = _distinct_rows(np.concatenate([pairs for pairs, _ in found]))
-    values = convert(distinct)[inverse]
-    ends = accumulate(len(pairs) for pairs, _ in found)
-    return np.column_stack([values[end - len(pairs):end][at]
-                            for (pairs, at), end in zip(found, ends)])
 
 
 def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:

@@ -31,6 +31,8 @@ _MIXED_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})t\Z")
 # 1 ulp for any value whose parts fit comfortably in a double.
 _SQRT5 = Fraction(math.isqrt(5 << 240), 1 << 120)
 _TAU_FRACTION = (1 + _SQRT5) / 2
+# tau as the nearest float64: the float filters and the presort of exact ranks
+_TAU_F = float(_TAU_FRACTION)
 
 _RationalLike = (int, Fraction)
 
@@ -248,15 +250,6 @@ def value_fraction(x: GoldenNumber) -> Fraction:
     the case for the bounded coefficients arising here).
     """
     return x.rat + x.tau * _TAU_FRACTION
-
-
-def _value_numerator(a: int, b: int) -> int:
-    """``value_fraction(a + b*tau)`` times its fixed denominator, for integers.
-
-    Orders integer pairs exactly as :func:`value_fraction` orders the
-    corresponding golden numbers, without building any Fraction.
-    """
-    return a * _TAU_FRACTION.denominator + b * _TAU_FRACTION.numerator
 
 
 def parse_golden(text: str) -> GoldenNumber:

@@ -11,10 +11,9 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, groupby, product
 
-from .errors import DomainError, GroupMismatchError, NonDominantError
+from .errors import DomainError, GroupMismatchError, NonDominantError, _check_int
 from .golden import GoldenNumber, ONE, TAU, ZERO, _pair_pow, _sign_pair, parse_golden
 
 __all__ = [
@@ -342,7 +341,7 @@ class Group:
         self._own(x)
         self._own(y)
         (fx, fy), denom = _flatten([x, y])
-        return self._over_det(self._det_inner_pair(fx, fy), 1, denom * denom)
+        return self._over_det(_pair_dot(fx, self._adj_flat(fy)), 1, denom * denom)
 
     def norm(self, x: Weight) -> GoldenNumber:
         return self.inner(x, x)
@@ -361,18 +360,9 @@ class Group:
             out += (ta, tb)
         return tuple(out)
 
-    def _det_inner_pair(self, fx, fy) -> tuple[int, int]:
-        """``cartan_det * <x,y>`` as an integer pair ``(a, b)`` = ``a + b*tau``.
-
-        ``fx`` and ``fy`` hold the integer parts ``(a_1, b_1, ..., a_r, b_r)``
-        of Z[tau] vectors; the product runs through the integer adjugate, so
-        no Fraction is built.  Rows over a denominator ``D`` give
-        ``cartan_det * D**2 * <x,y>``.
-        """
-        return _pair_dot(fx, self._adj_flat(fy))
-
     def _det_norm_pair(self, flat) -> tuple[int, int]:
-        """``_det_inner_pair(x, x)``: half the products, as the form is symmetric."""
+        """``cartan_det * <x,x>`` as an integer pair, ``_pair_dot(x, _adj_flat(x))``
+        with half the products, as the form is symmetric."""
         na = nb = 0
         for j, k, ca, cb in self._adj_form:
             a, b, c, d = flat[j], flat[j + 1], flat[k], flat[k + 1]
@@ -397,7 +387,8 @@ class Group:
     def reflect(self, i: int, x: Weight) -> Weight:
         """Apply the i-th simple reflection (1-based index)."""
         self._own(x)
-        if not 1 <= i <= self.rank:
+        _check_int(i, "root index", 1)
+        if i > self.rank:
             raise DomainError(f"root index {i} out of range for {self.tag}")
         (flat,), denom = _flatten([x])
         return _unflatten(self, [_reflect_flat(flat, i - 1, self._int_rows[i - 1])], denom)[0]
@@ -479,10 +470,9 @@ A2 = Group("A2", [[2, -1], [-1, 2]], (3,))
 GROUPS = {g.tag: g for g in (H2, H3, H4, A1, A2)}
 
 
-@lru_cache(maxsize=None)
 def get_group(name: str) -> Group:
-    """Look up a group by (case-insensitive) name."""
-    group = GROUPS.get(name.upper())
+    """Look up a group by (case-insensitive) name: the singleton of ``GROUPS``."""
+    group = GROUPS.get(name.upper()) if isinstance(name, str) else None
     if group is None:
         raise DomainError(f"unknown group {name!r}; choose from {sorted(GROUPS)}")
     return group

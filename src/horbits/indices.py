@@ -329,7 +329,8 @@ def embedding_index(group: Group, rule: BranchingRule, dominant: Weight) -> Gold
 
 def embedding_index_by_rank(group: Group, child_rank: int) -> Fraction:
     """Embedding index as the rank ratio rank(G)/rank(G')."""
-    if not 1 <= child_rank <= group.rank:
+    _check_int(child_rank, "child_rank", 1)
+    if child_rank > group.rank:
         raise DomainError(
             f"subgroup rank must be in 1..{group.rank} for {group.tag}")
     return Fraction(group.rank, child_rank)

@@ -22,8 +22,9 @@ from functools import cached_property, cmp_to_key
 from math import lcm, prod
 from operator import add
 
-from .errors import DomainError, GroupMismatchError, MalformedMultisetError, SizeLimitError
-from .golden import GoldenNumber, _sign_pair, _value_numerator
+from .errors import (DomainError, GroupMismatchError, MalformedMultisetError, SizeLimitError,
+                     _check_int)
+from .golden import _TAU_F, GoldenNumber, _sign_pair
 from .groups import Group, Weight, _flatten, _RecordList, _reflect_flat, _unflatten
 
 __all__ = [
@@ -107,12 +108,17 @@ def _flatten_lists(lists) -> tuple[list[list[tuple[int, ...]]], int]:
 def _pair_ranks(pairs: list[tuple[int, int]]) -> list[int]:
     """Rank of each integer pair ``(a, b)`` among the distinct values ``a + b*tau``.
 
-    The distinct pairs are presorted by the ``value_fraction`` proxy and the
-    result is checked with the exact sign test of each adjacent difference;
-    only if the proxy misordered a pair are they sorted again by exact
-    comparison.  Distinct pairs have distinct values, so ranks never tie.
+    The distinct pairs are presorted by their float64 values ``a + b*tau``
+    and the result is checked with the exact sign test of each adjacent
+    difference; only if the presort misordered a pair are they sorted again
+    by exact comparison.  Distinct pairs have distinct values, so ranks
+    never tie.
     """
-    distinct = sorted(set(pairs), key=lambda p: _value_numerator(*p))
+    distinct = list(set(pairs))
+    try:
+        distinct.sort(key=lambda p: p[0] + p[1] * _TAU_F)
+    except OverflowError:
+        pass  # a part past the float64 range: the exact check decides
     if any(_sign_pair(q[0] - p[0], q[1] - p[1]) <= 0
            for p, q in zip(distinct, distinct[1:])):
         distinct.sort(key=cmp_to_key(lambda p, q: _sign_pair(p[0] - q[0], p[1] - q[1])))
@@ -315,6 +321,7 @@ def orbit_product(orbits, max_points: int = MAX_MATERIALIZED_POINTS) -> WeightMu
     small enough to hold in memory; the decomposition of a large product
     should go through :func:`decompose_product` instead.
     """
+    _check_int(max_points, "max_points", 1)
     orbits = list(orbits)
     group = _one_group(orbits, "orbit_product", 2)
     total = prod(len(orbit.elements) for orbit in orbits)

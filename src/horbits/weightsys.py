@@ -26,13 +26,14 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import floor, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError, SizeLimitError, _check_int
-from .golden import GoldenNumber, TAU
+from .golden import _TAU_F, GoldenNumber, TAU
 from .groups import Group, Weight, H3, _flatten, _RecordDict, _RecordList, _Records, _unflatten
 from .orbits import _norm_order
 
@@ -51,7 +52,6 @@ __all__ = [
 _LEVEL_OVER_BUDGET = ("weight system level needs {total} children, over the node budget; "
                       + _RAISE_MAX_NODES)
 _OUT_OF_RANGE = "weight system coordinates exceed the exact int64 range"
-_TAU_F = float(TAU)
 
 _TREE_GROUPS = ("H2", "H3", "H4")
 
@@ -135,8 +135,7 @@ class _TreeArrays:
     @cached_property
     def point_texts(self) -> list[tuple[str, ...]]:
         """The coordinate texts of each point, which both writers read."""
-        points = _pair_texts(self.rows.reshape(-1, 2)).reshape(-1, self.group.rank)
-        return list(zip(*points.T.tolist()))
+        return list(map(tuple, _pair_columns(self.rows, _pair_texts).tolist()))
 
     @cached_property
     def nodes(self) -> list[SubtractionNode]:
@@ -170,7 +169,7 @@ class _TreeArrays:
             self.counts.tolist(),
             zip([0, *target], [True, *self.first.tolist()]),
             zip(self.source.tolist(), target,
-                _pair_texts(np.stack([self.ma, self.mb], axis=1)).tolist(),
+                _pair_columns(np.stack([self.ma, self.mb], axis=1), _pair_texts)[:, 0].tolist(),
                 (self.root + 1).tolist()),
             zip(self.lower.tolist(), np.maximum(self.counts[self.lower], 1).tolist()),
         )
@@ -339,7 +338,7 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
     # points apart, as sorted keys with arrival counts
     main = recent = dom_keys = keys[:0]
     dom_counts = counts[:0]
-    # tree mode: the rows, their dominance and keys, and the edges of each level
+    # tree mode: the dominance and keys of each level's points, and its edges
     levels, events = [], []
     while len(frontier):
         if bits is not None:
@@ -357,7 +356,7 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         # column by column: numpy reduces the short rows far more slowly
         dominant = np.logical_and.reduce([column >= 0 for column in signs.T])
         if tree:
-            levels.append((frontier, dominant, keys))
+            levels.append((dominant, keys))
         else:
             at = np.searchsorted(dom_keys, keys[dominant])
             dom_keys = np.insert(dom_keys, at, keys[dominant])
@@ -411,8 +410,10 @@ def _closure(group: Group, seed: Weight, max_nodes: int, tree: bool):
         rows = _unpack_keys(dom_keys, bits, width)
         return rows, dom_counts, _listing_order(rows, adj), None
     # a nonzero dominant seed has a positive coordinate, so there are edges
-    rows, dominant, numbered = (np.concatenate(column) for column in zip(*levels))
+    dominant, numbered = (np.concatenate(column) for column in zip(*levels))
     source, children, ma, mb, root = (np.concatenate(column) for column in zip(*events))
+    # every key is an exact packing of its row, or the row's bytes
+    rows = _unpack_keys(numbered, bits, width)
     order = np.argsort(numbered)
     target = order[np.searchsorted(numbered, children, sorter=order)]
     # points are numbered in the order of their first visits, and no edge
@@ -620,6 +621,24 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _unpack_keys(keys, bits, rows.shape[1]), inverse.reshape(-1)
 
 
+def _pair_columns(rows: np.ndarray, convert) -> np.ndarray:
+    """``convert`` of each coordinate pair of flat integer rows, one column per
+    coordinate; ``convert`` maps an int64 array of distinct pairs to one value each.
+
+    The pairs are made distinct a coordinate at a time and then among those
+    found, so ``convert`` sees each distinct pair once, and no sort runs
+    over all coordinates of all points: its arrays would be several times
+    the size of the rows.
+    """
+    found = [_distinct_rows(rows[:, i:i + 2].astype(np.int64, copy=False))
+             for i in range(0, rows.shape[1], 2)]
+    distinct, inverse = _distinct_rows(np.concatenate([pairs for pairs, _ in found]))
+    values = convert(distinct)[inverse]
+    ends = accumulate(len(pairs) for pairs, _ in found)
+    return np.column_stack([values[end - len(pairs):end][at]
+                            for (pairs, at), end in zip(found, ends)])
+
+
 # ---------------------------------------------------------------------------
 # closed-form catalogue of lower-orbit dominants for the six H3 seed families
 
@@ -767,7 +786,8 @@ def closed_form_lower_orbits(family: str, a: int) -> set[Weight]:
     key = family.replace(" ", "")
     if key not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    if not 1 <= a <= 9:
+    _check_int(a, "a", 1)
+    if a > 9:
         raise DomainError("family parameter must be in 1..9")
     return {Weight(H3, tuple(v if isinstance(v, GoldenNumber) else GoldenNumber(Fraction(v))
                              for v in row)) for row in _FAMILIES[key](a)}
@@ -790,11 +810,10 @@ class _Table(NamedTuple):
 
 def _pair_texts(pairs: np.ndarray, denom: int = 1) -> np.ndarray:
     """The canonical text of ``(a + b*tau) / denom`` for each int64 row
-    ``(a, b)``, as an object array; each distinct pair is rendered once."""
-    distinct, inverse = _distinct_rows(pairs.astype(np.int64))
-    texts = [str(GoldenNumber(Fraction(a, denom), Fraction(b, denom)))
-             for a, b in distinct.tolist()]
-    return np.array(texts, dtype=object)[inverse]
+    ``(a, b)``, as an object array; :func:`_pair_columns` gives it each
+    distinct pair once."""
+    return np.array([str(GoldenNumber(Fraction(a, denom), Fraction(b, denom)))
+                     for a, b in pairs.tolist()], dtype=object)
 
 
 def _table(tree: SubtractionTree) -> _Table:

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_dominant
 from horbits.errors import DomainError, GroupMismatchError, MalformedMultisetError, NonDominantError
 from horbits.golden import GoldenNumber, TAU, ZERO, golden
-from horbits.groups import A1, A2, H2, H3, H4, Weight
+from horbits.groups import A1, A2, H2, H3, H4, Weight, get_group
 from horbits.indices import (
     BranchLayer,
     BranchingRule,
@@ -34,6 +34,7 @@ from horbits.orbits import (
     orbit_product,
     orbit_sum,
 )
+from horbits.weightsys import closed_form_lower_orbits
 
 
 def idx(orbit, p):
@@ -275,6 +276,29 @@ def test_degree_is_an_int_of_at_least_one(group, value):
     lam = group.weight(*[1] * group.rank)
     with pytest.raises(DomainError, match=rf"^degree must be an int >= 1, got {re.escape(repr(value))}$"):
         anomaly_number(group, lam, default_direction(group), value)
+
+
+def _square_of_h2(max_points):
+    orbit = generate_orbit(H2, H2.weight(1, 0))
+    return orbit_product([orbit, orbit], max_points=max_points)
+
+
+@pytest.mark.parametrize("call,value,message", [
+    (_square_of_h2, None, "max_points must be an int >= 1, got None"),
+    (_square_of_h2, True, "max_points must be an int >= 1, got True"),
+    (lambda a: closed_form_lower_orbits("(a,0,0)", a), 2.5, "a must be an int >= 1, got 2.5"),
+    (lambda a: closed_form_lower_orbits("(a,0,0)", a), True, "a must be an int >= 1, got True"),
+    (lambda i: H3.reflect(i, H3.weight(1, 0, 0)), True, "root index must be an int >= 1, got True"),
+    (lambda i: H3.reflect(i, H3.weight(1, 0, 0)), 1.0, "root index must be an int >= 1, got 1.0"),
+    (lambda r: embedding_index_by_rank(H3, r), True, "child_rank must be an int >= 1, got True"),
+    (lambda r: embedding_index_by_rank(H3, r), 1.5, "child_rank must be an int >= 1, got 1.5"),
+    (get_group, 3, "unknown group 3; choose from "),
+], ids=["max_points-None", "max_points-True", "a-2.5", "a-True", "reflect-True", "reflect-1.0",
+        "child_rank-True", "child_rank-1.5", "get_group-3"])
+def test_int_and_name_arguments_are_checked(call, value, message):
+    # a bool is not an int, and a float or None raises no TypeError
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        call(value)
 
 
 def test_directions_are_owned_and_nonzero():

@@ -392,10 +392,11 @@ def _fib(n):
     return a
 
 
-@pytest.mark.parametrize("n", [89, 90, 91, 93])
+@pytest.mark.parametrize("n", [40, 41, 89, 90, 91, 93])
 def test_sorted_parts_exact_past_the_value_proxy(n):
-    # c = F_n*tau - F_(n+1) = (-1)**(n+1) * tau**-n: a 120-bit value of tau
-    # gets its sign wrong from n = 89 on, for c and for norms near 1 + c
+    # c = F_n*tau - F_(n+1) = (-1)**(n+1) * tau**-n: a float64 value of tau
+    # gets its sign wrong from n = 40 on, a 120-bit value from n = 89 on, for
+    # c and for norms near 1 + c; the presort misorders, the exact sort decides
     c = golden(-_fib(n + 1), _fib(n))
     zero = golden(0)
     # equal norms, so the coordinates decide: (0, c) < (c, 0) iff c > 0
@@ -407,6 +408,13 @@ def test_sorted_parts_exact_past_the_value_proxy(n):
     parts = Decomposition(H2, {Weight(H2, (one + c, zero)): 1, Weight(H2, (one, zero)): 2})
     big, less = (one + c, one) if c > 0 else (one, one + c)
     assert [w.coords[0] for w, _ in parts.sorted_parts()] == [big, less]
+
+
+def test_pair_ranks_past_the_float_range():
+    # parts past the float64 range fail the presort, and the exact sort decides
+    big = 10 ** 400
+    pairs = [(big, 1), (1, big), (-big, big), (3, 4), (big, 1)]
+    assert _pair_ranks(pairs) == [2, 3, 1, 0, 2]
 
 
 def _lexsort_order(flats, norms):

@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,13 @@ def test_unused_import_check_finds_them():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(horbits._LAZY))
+def test_lazy_names_match_the_module_lists(module):
+    # the package's name table lists the numpy module's __all__, and each
+    # name resolves through the package's __getattr__ to the module's object
+    loaded = importlib.import_module(f"horbits.{module}")
+    assert set(horbits._LAZY[module]) == set(loaded.__all__)
+    for name in loaded.__all__:
+        assert horbits.__getattr__(name) is getattr(loaded, name)

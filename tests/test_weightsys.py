@@ -16,7 +16,7 @@ from horbits import weightsys
 from horbits.errors import DomainError, NonDominantError, SizeLimitError
 from horbits.geometry import nested_polyhedra
 from horbits.golden import TAU, _sign_pair, golden
-from horbits.groups import A2, H2, H3, H4, Weight
+from horbits.groups import A2, H2, H3, H4, Weight, _pair_dot
 from horbits.orbits import _norm_order, generate_orbit
 from horbits.weightsys import (
     SubtractionEdge,
@@ -650,7 +650,7 @@ def _fifo_tree(group, seed):
                     queue.append(target)
     lower = [f for f in queue
              if all(_sign_pair(f[2 * i], f[2 * i + 1]) >= 0 for i in range(rank))]
-    order = _norm_order(lower, [group._det_inner_pair(f, f) for f in lower])
+    order = _norm_order(lower, [_pair_dot(f, group._adj_flat(f)) for f in lower])
     return events, arrivals, [(lower[k], max(1, arrivals[lower[k]])) for k in order]
 
 
@@ -944,8 +944,9 @@ def test_tree_writers_render_the_point_texts_once(monkeypatch):
 
     monkeypatch.setattr(weightsys, "_pair_texts", spy)
     assert (tree_to_json(tree), tree_to_dot(tree)) == texts
-    # the point texts are kept from the first writer; each writer renders its multiples
-    assert calls == [len(arrays.source)] * 2
+    # the point texts are kept from the first writer; each writer renders
+    # its distinct multiples
+    assert calls == [len(set(zip(arrays.ma.tolist(), arrays.mb.tolist())))] * 2
     # a copy renders them again on first use
     assert "point_texts" in vars(arrays) and "point_texts" not in arrays.__getstate__()
     copied = copy.deepcopy(tree)
