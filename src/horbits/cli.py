@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError, _write_text
+from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, _USE_DECOMPOSE, DomainError, _write_text
 from .groups import Group, Weight, _unflatten, get_group
 from .indices import (
     anomaly_number,
@@ -138,8 +138,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
-        # the closure's node guards name the Python parameter: name the flag
+        # the library's size guards name Python names: name the flags
         message = str(exc).replace(_RAISE_MAX_NODES, "raise --max-nodes")
+        message = message.replace(_USE_DECOMPOSE, "use --decompose")
         print(f"error: {message}", file=sys.stderr)
         return 3
 

@@ -28,8 +28,9 @@ class SizeLimitError(DomainError):
 
 # default node guard of the weight-system closure
 MAX_TREE_NODES = 1_000_000
-# ends the message of every node guard; the command line names its flag instead
+# end the messages of the node and product guards; the command line names its flags
 _RAISE_MAX_NODES = "raise max_nodes"
+_USE_DECOMPOSE = "use decompose_product"
 
 
 class MalformedMultisetError(DomainError):

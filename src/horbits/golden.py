@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import total_ordering
+
+from .errors import SizeLimitError
 
 __all__ = [
     "GoldenNumber",
@@ -201,14 +204,16 @@ class GoldenNumber:
             return self._text
         except AttributeError:
             q, r = self.rat, self.tau
-            if not r:
-                text = str(q)
-            else:
-                text = str(r)
-                if not q:
-                    text += "t"
-                else:
+            try:
+                text = str(r) if r else str(q)
+                if r and q:
                     text = f"{q}{text if text[0] == '-' else '+' + text}t"
+                elif r:
+                    text += "t"
+            except ValueError as exc:  # a part longer than Python's int-to-str limit
+                raise SizeLimitError(
+                    f"cannot print a number with a part of more than "
+                    f"{sys.get_int_max_str_digits()} digits (Python's int-to-str limit)") from exc
             object.__setattr__(self, "_text", text)
             return text
 

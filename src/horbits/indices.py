@@ -12,9 +12,9 @@ Inner products, heights and anomaly sums run on integer pairs
 to the integer rows of :mod:`horbits.groups`, each product
 ``cartan_det * D**2 * <x,y>`` goes through the integer adjugate of the
 Cartan matrix, powers and sums stay in Z[tau], and the total is divided
-once at the end.  Branching projects and reflects the same rows, and builds
-one ``GoldenNumber`` per distinct height and one ``Weight`` per distinct
-child dominant.
+once at the end.  Branching projects the same rows once, in one helper,
+and builds one ``GoldenNumber`` per distinct height and one ``Weight`` per
+distinct child dominant; the embedding index builds no ``Weight``.
 """
 from __future__ import annotations
 
@@ -65,7 +65,11 @@ class IndexValue:
         return float(self.value)
 
     def __str__(self):
-        return f"{self.value} ({float(self.value)!r})"
+        try:
+            approx = repr(float(self.value))
+        except OverflowError:  # past the float range: the exact value's sign
+            approx = "inf" if self.value.sign() > 0 else "-inf"
+        return f"{self.value} ({approx})"
 
 
 def even_index(group: Group, dominant: Weight, p: int) -> IndexValue:
@@ -141,12 +145,8 @@ def default_direction(group: Group) -> Weight:
 
 def axis_directions(group: Group) -> tuple[Weight, ...]:
     """The omega-axis directions of a group, in order."""
-    out = []
-    for i in range(group.rank):
-        out.append(Weight(group, tuple(
-            GoldenNumber(1 if j == i else 0) for j in range(group.rank)
-        )))
-    return tuple(out)
+    return tuple(group.weight([int(j == i) for j in range(group.rank)])
+                 for i in range(group.rank))
 
 
 def anomaly_number(group: Group, dominant: Weight, direction: Weight,
@@ -207,30 +207,6 @@ _RULES = {
 }
 
 
-def _check_rule(group: Group, rule: BranchingRule) -> None:
-    if rule.parent is not group:
-        raise GroupMismatchError(
-            f"rule branches {rule.parent.tag}, group is {group.tag}")
-
-
-def _int_projection(rule: BranchingRule) -> tuple[list[tuple[int, ...]], int]:
-    """The projection rows as flat integer rows over one denominator ``S``.
-
-    A flat parent row over ``D`` projects to the flat child row over
-    ``D * S`` whose coordinate ``k`` is ``_pair_dot(rows[k], x)``.
-    """
-    child = rule.child
-    if len(rule.projection) != child.rank:
-        raise DomainError(f"{child.tag} weight needs {child.rank} coordinates, "
-                          f"got {len(rule.projection)}")
-    # each row is a linear form on the parent's weights: flatten it like one
-    return _flatten([rule.parent.weight(row) for row in rule.projection])
-
-
-def _project_flat(rows, flat) -> tuple[int, ...]:
-    return tuple(part for row in rows for part in _pair_dot(row, flat))
-
-
 def branching_rule(parent, child) -> BranchingRule:
     """Look up one of the built-in projection rules."""
     parent = parent if isinstance(parent, Group) else get_group(parent)
@@ -244,22 +220,38 @@ def branching_rule(parent, child) -> BranchingRule:
     return rule
 
 
+def _project_orbit(group: Group, rule: BranchingRule, dominant: Weight):
+    """``(images, parts, dominants, D, S)``: each flat orbit row over ``D``
+    mapped to its child row over ``D * S`` (``S`` flattens the projection
+    rows, each a linear form on the parent's weights), and the union-of-orbits
+    check :func:`horbits.orbits._orbit_parts` of the images' tally."""
+    if rule.parent is not group:
+        raise GroupMismatchError(f"rule branches {rule.parent.tag}, group is {group.tag}")
+    group._own_dominant(dominant)
+    child = rule.child
+    if len(rule.projection) != child.rank:
+        raise DomainError(f"{child.tag} weight needs {child.rank} coordinates, "
+                          f"got {len(rule.projection)}")
+    rows, scale = _flatten([group.weight(row) for row in rule.projection])
+    (seed,), denom = _flatten([dominant])
+    images = {x: tuple(part for row in rows for part in _pair_dot(row, x))
+              for x in _orbit_flats(group, seed)}
+    parts, dominants = _orbit_parts(child, Counter(images.values()))
+    return images, parts, dominants, denom, scale
+
+
 def branch_decompose(group: Group, rule: BranchingRule, dominant: Weight) -> Decomposition:
     """Project an orbit onto the subgroup and tally child orbits.
 
-    Every element is projected; the images must be a union of whole child
-    orbits (:func:`horbits.orbits._orbit_parts`), each of which contributes
-    exactly one dominant image.  They are tallied in the element order of
-    :func:`generate_orbit`, which fixes the order of ``parts``.
+    The images must be a union of whole child orbits, each of which has one
+    dominant image; ``parts`` come in the order of first occurrence of those
+    images over the element order of :func:`generate_orbit`.
     """
-    _check_rule(group, rule)
-    group._own_dominant(dominant)
-    rows, scale = _int_projection(rule)
-    (seed,), denom = _flatten([dominant])
-    orbit = _element_order(_orbit_flats(group, seed))
-    parts, _ = _orbit_parts(rule.child, Counter(_project_flat(rows, x) for x in orbit))
-    weights = _unflatten(rule.child, parts, denom * scale)
-    return Decomposition(rule.child, dict(zip(weights, parts.values())))
+    images, parts, _, denom, scale = _project_orbit(group, rule, dominant)
+    order = _element_order(x for x, image in images.items() if image in parts)
+    firsts = list(dict.fromkeys(images[x] for x in order))
+    weights = _unflatten(rule.child, firsts, denom * scale)
+    return Decomposition(rule.child, {w: parts[f] for w, f in zip(weights, firsts)})
 
 
 @dataclass(frozen=True)
@@ -275,27 +267,20 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
                   direction: Weight | None = None) -> list[BranchLayer]:
     """Slice an orbit into child orbits on parallel planes orthogonal to v.
 
-    Each element is projected and reflected to the child's dominant chamber
-    as a flat integer row, once per distinct image; the images must be a
-    union of whole child orbits, as in :func:`branch_decompose`.  The
-    height of an element is the integer pair ``x . u``
-    with ``u = adj @ v`` over the shared denominator ``D``.  Layers come by
-    descending height, then in the listing order of
-    :func:`horbits.orbits._norm_order` of their child dominants, both
-    decided by exact comparison (``cartan_det * D**2 > 0`` keeps the order
-    of the heights).
+    Each element takes the child dominant of its image, as in
+    :func:`branch_decompose`.  With the orbit over ``D`` and ``v`` over ``E``,
+    its height is the integer pair ``x . u = cartan_det * D * E * <x, v>``,
+    ``u = adj @ v``.  Layers come by descending height, then in the listing
+    order of :func:`horbits.orbits._norm_order` of their child dominants,
+    both decided by exact comparison (``cartan_det * D * E > 0``).
     """
-    _check_rule(group, rule)
+    images, _, dominants, denom, scale = _project_orbit(group, rule, dominant)
     if direction is None:
         direction = rule.direction or default_direction(group)
     group._own_direction(direction)
-    group._own_dominant(dominant)
-    rows, scale = _int_projection(rule)
-    (seed, v), denom = _flatten([dominant, direction])
+    (v,), v_denom = _flatten([direction])
     u = group._adj_flat(v)
     child = rule.child
-    images = {x: _project_flat(rows, x) for x in _orbit_flats(group, seed)}
-    _, dominants = _orbit_parts(child, Counter(images.values()))
     tally = Counter((_pair_dot(x, u), dominants[image]) for x, image in images.items())
     heights = list(dict.fromkeys(h for h, _ in tally))
     children = list(dict.fromkeys(c for _, c in tally))
@@ -303,7 +288,7 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
     by_norm = _norm_order(children, [child._det_norm_pair(c) for c in children])
     child_rank = {children[k]: n for n, k in enumerate(by_norm)}
     order = sorted(tally, key=lambda key: (-height_rank[key[0]], child_rank[key[1]]))
-    values = {h: group._over_det(h, 1, denom * denom) for h in heights}
+    values = {h: group._over_det(h, 1, denom * v_denom) for h in heights}
     weights = dict(zip(children, _unflatten(child, children, denom * scale)))
     return [BranchLayer(values[h], weights[c], tally[h, c]) for h, c in order]
 
@@ -313,15 +298,19 @@ def branch_layers(group: Group, rule: BranchingRule, dominant: Weight,
 
 
 def embedding_index(group: Group, rule: BranchingRule, dominant: Weight) -> GoldenNumber:
-    """Ratio of the parent orbit's order-2 index to its branched image's."""
+    """Ratio of the parent orbit's order-2 index to its branched image's,
+    ``sum_x <pi x, pi x>`` over the orbit: each distinct image occurs as
+    often as the dominant of its child orbit."""
     group._own(dominant)
     if dominant.is_zero:
         raise DomainError("embedding index needs a nonzero orbit")
     numerator = even_index(group, dominant, 1).value
-    parts = branch_decompose(group, rule, dominant)
-    denominator = ZERO
-    for child, mult in parts.parts.items():
-        denominator = denominator + even_index(rule.child, child, 1).value * mult
+    _, parts, dominants, denom, scale = _project_orbit(group, rule, dominant)
+    child = rule.child
+    norms = Counter()
+    for image, nu in dominants.items():
+        norms[child._det_norm_pair(image)] += parts[nu]
+    denominator = child._over_det(_power_sum(norms, 1), 1, (denom * scale) ** 2)
     if not denominator:
         raise DomainError("branched image has vanishing order-2 index")
     return numerator / denominator
@@ -343,6 +332,8 @@ _SIMPLE_RANKS = {
 
 def subgroup_rank(name: str) -> int:
     """Rank of a (possibly composite) subgroup name like ``A1xA1xA1``."""
+    if not isinstance(name, str):
+        raise DomainError(f"unknown subgroup {name!r}")
     total = 0
     for part in name.replace("×", "x").upper().split("X"):
         part = part.strip()

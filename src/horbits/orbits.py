@@ -22,8 +22,8 @@ from functools import cached_property, cmp_to_key
 from math import lcm, prod
 from operator import add
 
-from .errors import (DomainError, GroupMismatchError, MalformedMultisetError, SizeLimitError,
-                     _check_int)
+from .errors import (_USE_DECOMPOSE, DomainError, GroupMismatchError, MalformedMultisetError,
+                     SizeLimitError, _check_int)
 from .golden import _TAU_F, GoldenNumber, _sign_pair
 from .groups import Group, Weight, _flatten, _RecordList, _reflect_flat, _unflatten
 
@@ -327,7 +327,7 @@ def orbit_product(orbits, max_points: int = MAX_MATERIALIZED_POINTS) -> WeightMu
     total = prod(len(orbit.elements) for orbit in orbits)
     if total > max_points:
         raise SizeLimitError(
-            f"product has {total} points (> {max_points}); use decompose_product"
+            f"product has {total} points (> {max_points}); {_USE_DECOMPOSE}"
         )
     factors, denom = _flatten_lists([orbit.elements for orbit in orbits])
     partial = dict.fromkeys(factors[0], 1)

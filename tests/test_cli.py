@@ -100,6 +100,37 @@ def test_anomaly_explicit_direction(capsys):
     assert out == "2728/25+4444/25t (396.7417218401813)\n"
 
 
+@pytest.mark.parametrize("argv,value,approx", [
+    (("index", "H4", "1,1,1,1", "--degree", "300"),
+     lambda: horbits.even_index(horbits.H4, horbits.H4.weight(1, 1, 1, 1), 150), "inf"),
+    (("index", "H2", "2,1", "--degree", "600"),
+     lambda: horbits.even_index(horbits.H2, horbits.H2.weight(2, 1), 300), "inf"),
+    (("anomaly", "H2", "2,1", "--degree", "601"),
+     lambda: horbits.anomaly_number(horbits.H2, horbits.H2.weight(2, 1),
+                                    horbits.default_direction(horbits.H2), 601), "-inf"),
+], ids=["index-H4-300", "index-H2-600", "anomaly-H2-601"])
+def test_index_past_the_float_range_prints_inf(capsys, argv, value, approx):
+    # the exact value in full, and the sign of its overflowing float
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == f"{value().value} ({approx})\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python has no int-to-str digit limit")
+def test_index_past_the_digit_limit_exits_3(capsys):
+    code, out, err = run(capsys, "index", "H2", "2,1", "--degree", "9000")
+    assert (code, out) == (3, "")
+    assert err == (f"error: cannot print a number with a part of more than "
+                   f"{sys.get_int_max_str_digits()} digits (Python's int-to-str limit)\n")
+
+
+def test_product_listing_guard_names_the_flag(capsys):
+    code, out, err = run(capsys, "product", "H4", "1,1,0,0", "0,0,1,1")
+    assert (code, out) == (3, "")
+    assert err == "error: product has 3456000 points (> 100000); use --decompose\n"
+
+
 def test_anomaly_even_degree_is_a_domain_error(capsys):
     # the library states the degree contract, and the CLI reports it like
     # every other DomainError

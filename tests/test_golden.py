@@ -1,11 +1,13 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from horbits.errors import SizeLimitError
 from horbits.golden import (
     GoldenNumber,
     ONE,
@@ -81,6 +83,17 @@ def test_float_values():
     assert float(TAU) == 1.618033988749895
     assert float(ZERO) == 0.0
     assert float(golden(3) - TAU) == 1.381966011250105
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python has no int-to-str digit limit")
+def test_text_past_the_digit_limit_is_a_size_limit_error():
+    limit = sys.get_int_max_str_digits()
+    for number in (GoldenNumber(10 ** limit), GoldenNumber(1, -10 ** limit),
+                   GoldenNumber(Fraction(1, 10 ** limit), 1)):
+        with pytest.raises(SizeLimitError, match=rf"^cannot print a number with a part of "
+                           rf"more than {limit} digits \(Python's int-to-str limit\)$"):
+            str(number)
 
 
 def test_text_round_trip_examples():

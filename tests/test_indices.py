@@ -5,10 +5,11 @@ import re
 
 import pytest
 
-from conftest import random_dominant
+from conftest import _count_weights, random_dominant
 from horbits.errors import DomainError, GroupMismatchError, MalformedMultisetError, NonDominantError
 from horbits.golden import GoldenNumber, TAU, ZERO, golden
 from horbits.groups import A1, A2, H2, H3, H4, Weight, get_group
+from horbits import indices
 from horbits.indices import (
     BranchLayer,
     BranchingRule,
@@ -293,8 +294,9 @@ def _square_of_h2(max_points):
     (lambda r: embedding_index_by_rank(H3, r), True, "child_rank must be an int >= 1, got True"),
     (lambda r: embedding_index_by_rank(H3, r), 1.5, "child_rank must be an int >= 1, got 1.5"),
     (get_group, 3, "unknown group 3; choose from "),
+    (subgroup_rank, 3, "unknown subgroup 3"),
 ], ids=["max_points-None", "max_points-True", "a-2.5", "a-True", "reflect-True", "reflect-1.0",
-        "child_rank-True", "child_rank-1.5", "get_group-3"])
+        "child_rank-True", "child_rank-1.5", "get_group-3", "subgroup_rank-3"])
 def test_int_and_name_arguments_are_checked(call, value, message):
     # a bool is not an int, and a float or None raises no TypeError
     with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
@@ -376,6 +378,23 @@ def test_embedding_indices_table():
     for coords in [(1, 0, 0), (0, 1, 0), (1, 1, 0)]:
         assert embedding_index(H3, rule_h2, H3.weight(*coords)) == expected
         assert embedding_index(H3, rule_a2, H3.weight(*coords)) == expected
+
+
+def test_embedding_index_sums_the_images_without_child_weights(monkeypatch):
+    # the image's order-2 index is a sum over the projected rows: no child
+    # Weight is built and the parent's even index is the only one taken
+    rule, lam = branching_rule(H3, A2), H3.parse_weight("7,3t,2")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return even_index(*args)
+
+    monkeypatch.setattr(indices, "even_index", counted)
+    built = _count_weights(monkeypatch)
+    assert embedding_index(H3, rule, lam) == golden(Fraction(3, 2))
+    assert [w for w in built if w.group is A2] == []
+    assert calls == [(H3, lam, 1)]
 
 
 def test_embedding_index_by_rank_full_table():

@@ -367,7 +367,9 @@ def test_product_guards():
     a = generate_orbit(H2, H2.weight(1, 0))
     with pytest.raises(DomainError):
         orbit_product([a])
-    with pytest.raises(SizeLimitError):
+    # the library names its function; the command line names --decompose
+    with pytest.raises(SizeLimitError,
+                       match=r"^product has 25 points \(> 3\); use decompose_product$"):
         orbit_product([a, a], max_points=3)
     with pytest.raises(GroupMismatchError):
         orbit_sum([a, generate_orbit(H3, H3.weight(1, 0, 0))])
