@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 from typing import NamedTuple
@@ -67,12 +67,12 @@ def embed(group: Group) -> CartesianEmbedding:
 class Shell:
     """One lower orbit: its dominant, radius, points and minimal edges.
 
-    A shell of :func:`nested_polyhedra` holds its part of the arrays the
-    shells were built from: ``points`` (Cartesian float tuples) and
-    ``points_exact`` (weights) are read-only views whose length is known at
-    once, and whose records are built on the first read of an item and then
-    kept.  A shell made from tuples, such as a ``dataclasses.replace`` copy,
-    holds those tuples.
+    A shell of :func:`nested_polyhedra` holds its part of the arrays that
+    only that function sets (``NestedPolyhedra._arrays``): ``points``
+    (Cartesian float tuples) and ``points_exact`` (weights) are read-only
+    views whose length is known at once, and whose records are built on the
+    first read of an item and then kept.  A shell made from tuples, such as
+    a ``dataclasses.replace`` copy, holds those tuples.
     """
 
     dominant: Weight
@@ -87,6 +87,7 @@ class NestedPolyhedra:
     group: Group
     seed: Weight
     shells: tuple[Shell, ...]
+    _arrays: _ShellArrays | None = field(default=None, init=False, repr=False, compare=False)
 
 
 class _ShellArrays(NamedTuple):
@@ -100,11 +101,11 @@ class _ShellArrays(NamedTuple):
 
 
 class _ShellRows:
-    """Shell ``index`` of held arrays, points ``start`` to ``stop``: the
-    source of its two views, each record field built on first read."""
+    """Points ``start`` to ``stop`` of held arrays: the source of a shell's
+    two views, each record field built on first read."""
 
-    def __init__(self, arrays: _ShellArrays, index: int, start: int, stop: int):
-        self.arrays, self.index, self.start, self.stop = arrays, index, start, stop
+    def __init__(self, arrays: _ShellArrays, start: int, stop: int):
+        self.arrays, self.start, self.stop = arrays, start, stop
 
     @cached_property
     def points(self) -> tuple[tuple[float, ...], ...]:
@@ -243,9 +244,9 @@ def nested_polyhedra(group: Group, seed: Weight,
     cartesian = (embed(group).basis_matrix @ omega[:, :, None])[:, :, 0]
     held = _ShellArrays(group, rows, 1, cartesian, sizes)
     shells = []
-    for index, (dominant, flat, size, end, shell_edges) in enumerate(
-            zip(_unflatten(group, flats, 1), flats, sizes, accumulate(sizes), edges)):
-        part = _ShellRows(held, index, end - size, end)
+    for dominant, flat, size, end, shell_edges in zip(
+            _unflatten(group, flats, 1), flats, sizes, accumulate(sizes), edges):
+        part = _ShellRows(held, end - size, end)
         shells.append(Shell(
             dominant=dominant,
             # group.inner(dominant, dominant), from the flat row
@@ -254,20 +255,16 @@ def nested_polyhedra(group: Group, seed: Weight,
             points_exact=_RecordList(part, "points_exact", size),
             edges=shell_edges,
         ))
-    return NestedPolyhedra(group, seed, tuple(shells))
+    poly = NestedPolyhedra(group, seed, tuple(shells))
+    object.__setattr__(poly, "_arrays", held)
+    return poly
 
 
 def _shell_arrays(poly: NestedPolyhedra) -> _ShellArrays:
-    """The points of a result as arrays: those :func:`nested_polyhedra` made,
-    while every shell's two point fields are its views of them, in order;
-    else the shells' records, read once."""
-    sources = [getattr(v, "_source", None) for s in poly.shells
-               for v in (s.points, s.points_exact)]
-    held = getattr(sources[0], "arrays", None) if sources else None
-    if held is not None and len(held.sizes) == len(poly.shells) and all(
-            isinstance(p, _ShellRows) and p.arrays is held and p.index == k // 2
-            for k, p in enumerate(sources)):
-        return held
+    """The points of a result as arrays: those :func:`nested_polyhedra` gave
+    it (``_arrays``), else the shells' records, read once."""
+    if poly._arrays is not None:
+        return poly._arrays
     sizes = [len(s.points) for s in poly.shells]
     if sizes != [len(s.points_exact) for s in poly.shells]:
         raise DomainError("every shell needs as many points as exact points")

@@ -65,11 +65,15 @@ class IndexValue:
         return float(self.value)
 
     def __str__(self):
-        try:
-            approx = repr(float(self.value))
-        except OverflowError:  # past the float range: the exact value's sign
-            approx = "inf" if self.value.sign() > 0 else "-inf"
-        return f"{self.value} ({approx})"
+        return f"{self.value} ({_float(self.value)!r})"
+
+
+def _float(value: GoldenNumber) -> float:
+    """``float(value)``, or the infinity of its sign past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.copysign(math.inf, value.sign())
 
 
 def even_index(group: Group, dominant: Weight, p: int) -> IndexValue:
@@ -178,10 +182,11 @@ def anomaly_number(group: Group, dominant: Weight, direction: Weight,
 
 def anomaly_number_normalized(group: Group, dominant: Weight, direction: Weight,
                               degree: int) -> float:
-    """Float convenience: the anomaly for the unit vector along ``direction``."""
-    raw = anomaly_number(group, dominant, direction, degree)
-    length = math.sqrt(float(group.inner(direction, direction)))
-    return float(raw.value) / length ** degree
+    """Float convenience: the anomaly for the unit vector along ``direction``,
+    divided by ``<v,v>**((degree - 1) / 2)`` exactly before it is a float."""
+    raw = anomaly_number(group, dominant, direction, degree).value
+    norm = group.inner(direction, direction)
+    return _float(raw / norm ** (degree // 2)) / math.sqrt(float(norm))
 
 
 # ---------------------------------------------------------------------------

@@ -85,21 +85,13 @@ def _flat_orbit_size(group: Group, flat) -> int:
     return group._orbit_sizes[tuple(zeros)]
 
 
-def _held_rows(weights) -> _OrbitRows | None:
-    """The rows a generated orbit holds: the source of a view made by
-    :func:`generate_orbit`, or ``None`` for any other weight sequence."""
-    source = getattr(weights, "_source", None)
-    return source if isinstance(source, _OrbitRows) else None
-
-
 def _flatten_lists(lists) -> tuple[list[list[tuple[int, ...]]], int]:
     """Flat rows of several weight sequences over their least common
-    denominator: a generated orbit's elements give the rows they hold, any
-    other sequence is flattened, and rows are scaled to the shared one."""
-    parts = []
-    for weights in lists:
-        source = _held_rows(weights)
-        parts.append((source.rows, source.denom) if source else _flatten(weights))
+    denominator: the rows a generated orbit holds (``Orbit._rows``) are read
+    as they are, any other sequence is flattened, and rows are scaled to the
+    shared one."""
+    parts = [(part.rows, part.denom) if isinstance(part, _OrbitRows) else _flatten(part)
+             for part in lists]
     denom = lcm(*(d for _, d in parts))
     return [rows if d == denom else [tuple(v * (denom // d) for v in row) for row in rows]
             for rows, d in parts], denom
@@ -169,7 +161,7 @@ class _OrbitRows:
     ``denom``: its flat rows and its elements, each built on first read."""
 
     def __init__(self, dominant: Weight):
-        self.dominant, self.group = dominant, dominant.group
+        self.group = dominant.group
         (self.seed,), self.denom = _flatten([dominant])
 
     @cached_property
@@ -184,11 +176,13 @@ class _OrbitRows:
 @dataclass(frozen=True)
 class Orbit:
     """A dominant weight together with all of its reflections: a tuple, or
-    the view of :func:`generate_orbit`, which compares and hashes as one."""
+    the view of :func:`generate_orbit`, which compares and hashes as one.
+    Only :func:`generate_orbit` sets ``_rows``, the rows that view reads."""
 
     group: Group
     dominant: Weight
     elements: Sequence[Weight]
+    _rows: _OrbitRows | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -299,8 +293,10 @@ def generate_orbit(group: Group, dominant: Weight) -> Orbit:
     """
     group._own_dominant(dominant)
     source = _OrbitRows(dominant)
-    return Orbit(group, dominant, _RecordList(
+    orbit = Orbit(group, dominant, _RecordList(
         source, "elements", _flat_orbit_size(group, source.seed)))
+    object.__setattr__(orbit, "_rows", source)
+    return orbit
 
 
 def orbit_sum(orbits) -> WeightMultiset:
@@ -329,7 +325,7 @@ def orbit_product(orbits, max_points: int = MAX_MATERIALIZED_POINTS) -> WeightMu
         raise SizeLimitError(
             f"product has {total} points (> {max_points}); {_USE_DECOMPOSE}"
         )
-    factors, denom = _flatten_lists([orbit.elements for orbit in orbits])
+    factors, denom = _flatten_lists([orbit._rows or orbit.elements for orbit in orbits])
     partial = dict.fromkeys(factors[0], 1)
     for factor in factors[1:]:
         nxt: dict[tuple[int, ...], int] = {}
@@ -403,8 +399,8 @@ def decompose_product(orbits) -> Decomposition:
     gains multiplicity ``m * |O_lambda| * count / |O_nu|``.  The first
     product iterates over the smaller of the two orbits.  No sum point set
     is formed.  Every seed must be dominant and every orbit's elements the
-    orbit :func:`_orbit_flats` builds from it; the view
-    :func:`generate_orbit` made from this same dominant is that orbit, so its
+    orbit :func:`_orbit_flats` builds from it; an orbit
+    :func:`generate_orbit` made (one with ``_rows``) is that orbit, so its
     rows are not built for the check.  Then each multiplicity is an integer
     and ``sum(mult * |O_nu|) == prod |O_i|``.
     """
@@ -415,8 +411,7 @@ def decompose_product(orbits) -> Decomposition:
         if len(orbit.elements) != size:
             raise MalformedMultisetError(
                 f"orbit of {orbit.dominant} has {len(orbit.elements)} elements, not {size}")
-        source = _held_rows(orbit.elements)
-        if not (source and source.dominant == orbit.dominant):
+        if orbit._rows is None:
             (seed, *rows), _ = _flatten([orbit.dominant, *orbit.elements])
             if set(rows) != set(_orbit_flats(group, seed)):
                 raise MalformedMultisetError(
@@ -424,7 +419,7 @@ def decompose_product(orbits) -> Decomposition:
     first, second = sorted(orbits[:2], key=len, reverse=True)
     iterated = [second, *orbits[2:]]
     ((seed,), *factors), denom = _flatten_lists(
-        [[first.dominant], *(orbit.elements for orbit in iterated)])
+        [[first.dominant], *(orbit._rows or orbit.elements for orbit in iterated)])
 
     parts = {seed: 1}
     for factor in factors:

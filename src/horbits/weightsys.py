@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import MAX_TREE_NODES, _RAISE_MAX_NODES, DomainError, SizeLimitError, _check_int
 from .golden import _TAU_F, GoldenNumber, TAU
-from .groups import Group, Weight, H3, _flatten, _RecordDict, _RecordList, _Records, _unflatten
+from .groups import Group, Weight, H3, _flatten, _RecordDict, _RecordList, _unflatten
 from .orbits import _norm_order
 
 __all__ = [
@@ -73,18 +73,18 @@ class SubtractionEdge:
         return f"{self.multiple}·α{self.root_index}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubtractionTree:
     """A weight system as node and edge records, first in, first out.
 
     :func:`build_tree` returns a tree that holds the closure's integer
-    arrays: its ``nodes``, ``edges``, ``lower_dominants`` and ``arrivals``
-    are read-only views whose length is known at once, and whose records
-    (``Weight``, ``SubtractionNode``, ``SubtractionEdge``) are built on the
-    first read of an item and then kept.  :func:`tree_to_json` and
-    :func:`tree_to_dot` write such a tree from its arrays and build no
-    records.  A tree constructed from record lists, such as a
-    ``dataclasses.replace`` copy, is written from its records.
+    arrays, ``_arrays``: its ``nodes``, ``edges``, ``lower_dominants`` and
+    ``arrivals`` are read-only views whose length is known at once, and
+    whose records (``Weight``, ``SubtractionNode``, ``SubtractionEdge``) are
+    built on the first read of an item and then kept.  :func:`tree_to_json`
+    and :func:`tree_to_dot` write such a tree from its arrays and build no
+    records.  Any other tree, such as a ``dataclasses.replace`` copy, has no
+    ``_arrays`` and is written from its records.
     """
 
     group: Group
@@ -93,6 +93,7 @@ class SubtractionTree:
     edges: Sequence[SubtractionEdge]
     arrivals: Mapping[Weight, int]
     lower_dominants: Sequence[tuple[Weight, int]]
+    _arrays: _TreeArrays | None = field(default=None, init=False, repr=False, compare=False)
 
     def node_weights(self) -> set[Weight]:
         return {n.weight for n in self.nodes if n.first_visit}
@@ -126,7 +127,7 @@ class _TreeArrays:
     def __getstate__(self):
         # the arrays alone: a copy builds its records and texts again on first use
         return {key: value for key, value in vars(self).items()
-                if key not in ("weights", "point_texts", *_RECORD_FIELDS)}
+                if not isinstance(getattr(type(self), key, None), cached_property)}
 
     @cached_property
     def weights(self) -> list[Weight]:
@@ -136,6 +137,10 @@ class _TreeArrays:
     def point_texts(self) -> list[tuple[str, ...]]:
         """The coordinate texts of each point, which both writers read."""
         return list(map(tuple, _pair_columns(self.rows, _pair_texts).tolist()))
+
+    @cached_property
+    def multiple_texts(self) -> list[str]:
+        return _pair_columns(np.stack([self.ma, self.mb], axis=1), _pair_texts)[:, 0].tolist()
 
     @cached_property
     def nodes(self) -> list[SubtractionNode]:
@@ -168,14 +173,9 @@ class _TreeArrays:
             self.point_texts,
             self.counts.tolist(),
             zip([0, *target], [True, *self.first.tolist()]),
-            zip(self.source.tolist(), target,
-                _pair_columns(np.stack([self.ma, self.mb], axis=1), _pair_texts)[:, 0].tolist(),
-                (self.root + 1).tolist()),
+            zip(self.source.tolist(), target, self.multiple_texts, (self.root + 1).tolist()),
             zip(self.lower.tolist(), np.maximum(self.counts[self.lower], 1).tolist()),
         )
-
-
-_RECORD_FIELDS = ("nodes", "edges", "arrivals", "lower_dominants")
 
 
 def subtraction_children(group: Group, point: Weight) -> list[SubtractionEdge]:
@@ -230,10 +230,12 @@ def build_tree(group: Group, seed: Weight, max_nodes: int = MAX_TREE_NODES) -> S
     rows, counts, lower, edges = _closure(group, seed, max_nodes, tree=True)
     arrays = _TreeArrays(group, rows, counts, lower, edges)
     n_edges = len(arrays.source)
-    return SubtractionTree(group, seed, _RecordList(arrays, "nodes", n_edges + 1),
+    tree = SubtractionTree(group, seed, _RecordList(arrays, "nodes", n_edges + 1),
                            _RecordList(arrays, "edges", n_edges),
                            _RecordDict(arrays, "arrivals", len(rows)),
                            _RecordList(arrays, "lower_dominants", len(lower)))
+    object.__setattr__(tree, "_arrays", arrays)
+    return tree
 
 
 def weight_system_dominants(group: Group, seed: Weight,
@@ -817,12 +819,10 @@ def _pair_texts(pairs: np.ndarray, denom: int = 1) -> np.ndarray:
 
 
 def _table(tree: SubtractionTree) -> _Table:
-    """The index table of a tree: from its arrays while all its record
-    fields are the views :func:`build_tree` made, else from its records."""
-    views = [getattr(tree, name) for name in _RECORD_FIELDS]
-    arrays = getattr(views[0], "_source", None)
-    if all(isinstance(v, _Records) and v._source is arrays for v in views):
-        return arrays.table()
+    """The index table of a tree: from the arrays :func:`build_tree` gave
+    it (``_arrays``), else from its records."""
+    if tree._arrays is not None:
+        return tree._arrays.table()
     index: dict[Weight, int] = {}
     points = []
 

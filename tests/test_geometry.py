@@ -410,6 +410,19 @@ def test_shells_of_tuples_write_the_same_files(group, text, tmp_path):
                 == _written(dataclasses.replace(poly, shells=plain.shells[part]), tmp_path, "want"))
 
 
+@pytest.mark.parametrize("group, text", [(H2, "3,5"), (H3, "2,1,0"), (H4, "0,0,0,1")],
+                         ids=lambda v: getattr(v, "tag", v))
+def test_only_a_built_result_carries_its_arrays(group, text, tmp_path):
+    # a result rebuilt by hand from a built one's shells, or a replace copy,
+    # carries no arrays and is written from its records, to the same bytes
+    poly = nested_polyhedra(group, group.parse_weight(text))
+    want = _written(poly, tmp_path, "built")
+    assert poly._arrays is poly.shells[0].points._source.arrays
+    for other in (NestedPolyhedra(group, poly.seed, poly.shells), dataclasses.replace(poly)):
+        assert other._arrays is None and other == poly
+        assert _written(other, tmp_path, "other") == want
+
+
 def test_shells_of_tuples_are_checked_before_they_are_written(tmp_path):
     poly = nested_polyhedra(H3, H3.weight(1, 0, 0))
     (shell,) = _plain(poly.shells)

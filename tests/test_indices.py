@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 import itertools
+import math
 import re
 
 import pytest
@@ -250,6 +251,15 @@ def test_anomaly_normalized_is_scale_invariant():
     n1 = anomaly_number_normalized(H2, lam, v, 5)
     n2 = anomaly_number_normalized(H2, lam, v.scaled(golden(2)), 5)
     assert n1 == pytest.approx(n2, rel=1e-12)
+    # a raw anomaly past the float range, the normalized value inside it
+    lam, far = H2.weight(2, 1), v.scaled(golden(10 ** 20))
+    with pytest.raises(OverflowError):
+        float(anomaly_number(H2, lam, far, 21))
+    n1 = anomaly_number_normalized(H2, lam, v, 21)
+    assert n1 == pytest.approx(-1.9665478303427e11, rel=1e-12)
+    assert anomaly_number_normalized(H2, lam, far, 21) == pytest.approx(n1, rel=1e-12)
+    # past the float range itself: the infinity of the exact sign
+    assert anomaly_number_normalized(H2, lam, v, 1001) == -math.inf
 
 
 def test_anomaly_guards():

@@ -1,7 +1,10 @@
+import copy
+import dataclasses
 import functools
 import itertools
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 from math import prod
@@ -912,8 +915,8 @@ def test_product_accepts_hand_built_orbits_in_any_order():
 
 
 def test_product_checks_a_view_made_from_another_dominant():
-    # only the view generate_orbit made from this same dominant is trusted,
-    # as the larger orbit (0,1,1) or as the iterated (1,0,0)
+    # only an orbit generate_orbit made is trusted: one rebuilt around its
+    # view is checked, as the larger orbit (0,1,1) or as the iterated (1,0,0)
     for coords, other in (((1, 0, 0), (0, 1, 1)), ((0, 1, 1), (1, 0, 0))):
         view = generate_orbit(H3, H3.weight(*coords)).elements
         partner = generate_orbit(H3, H3.weight(*other))
@@ -923,3 +926,21 @@ def test_product_checks_a_view_made_from_another_dominant():
         for dominant in (same.dominant.scaled(2), same.dominant.scaled(golden(0, 1))):
             with pytest.raises(MalformedMultisetError, match="are not its orbit"):
                 decompose_product([partner, Orbit(H3, dominant, view)])
+
+
+def test_only_a_generated_orbit_carries_its_rows(monkeypatch):
+    # an orbit rebuilt by hand from a generated view, or a replace copy,
+    # carries no rows: it is read through its elements, to the same
+    # decomposition and product, and checked against the closure of its seed
+    a, b = generate_orbit(H3, H3.weight(1, 0, "1t")), generate_orbit(H3, H3.weight(0, 1, 0))
+    expected, product = decompose_product([a, b]), orbit_product([a, b])
+    assert a._rows is not None and a._rows is a.elements._source
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        held = clone(a)
+        assert held._rows is held.elements._source and held == a
+    closures = _count_closures(monkeypatch)
+    for orbit in (Orbit(H3, a.dominant, a.elements), dataclasses.replace(a)):
+        assert orbit._rows is None and orbit == a
+        assert decompose_product([orbit, b]) == decompose_product([b, orbit]) == expected
+        assert orbit_product([orbit, b]) == product
+    assert closures == [a._rows.seed] * 4

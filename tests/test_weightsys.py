@@ -5,7 +5,7 @@ import pickle
 import random
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import gcd
 
@@ -726,6 +726,25 @@ def test_record_table_matches_array_table(group, text):
     assert rebuilt == t and t == rebuilt
 
 
+def test_only_a_built_tree_carries_its_arrays():
+    # a built tree is frozen, so its arrays always match its views; a tree
+    # rebuilt by hand from those views, or a replace copy, carries no arrays
+    # and is written from its records, to the same bytes
+    t = build_tree(H3, H3.weight(2, 1, 0))
+    texts = tree_to_json(t), tree_to_dot(t)
+    for name in ("edges", "_arrays"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, [])
+    assert t._arrays is t.nodes._source
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        held = clone(t)
+        assert held._arrays is held.nodes._source and held == t
+    for other in (SubtractionTree(H3, t.seed, t.nodes, t.edges, t.arrivals, t.lower_dominants),
+                  replace(t), replace(t, edges=list(t.edges))):
+        assert other._arrays is None and other == t
+        assert (tree_to_json(other), tree_to_dot(other)) == texts
+
+
 def test_built_tree_keeps_parts_near_the_int64_guard_exact():
     # a built tree keeps its rows as int32, exact for parts up to 2**30
     seed = H3.weight("536870911+1t", 0, 0)
@@ -944,14 +963,15 @@ def test_tree_writers_render_the_point_texts_once(monkeypatch):
 
     monkeypatch.setattr(weightsys, "_pair_texts", spy)
     assert (tree_to_json(tree), tree_to_dot(tree)) == texts
-    # the point texts are kept from the first writer; each writer renders
-    # its distinct multiples
-    assert calls == [len(set(zip(arrays.ma.tolist(), arrays.mb.tolist())))] * 2
-    # a copy renders them again on first use
-    assert "point_texts" in vars(arrays) and "point_texts" not in arrays.__getstate__()
+    # the point and multiple texts are kept from the first writer
+    assert calls == []
+    # a copy renders them again on first use, the distinct multiples once
+    for name in ("point_texts", "multiple_texts"):
+        assert name in vars(arrays) and name not in arrays.__getstate__()
     copied = copy.deepcopy(tree)
     assert "point_texts" not in vars(copied.nodes._source)
-    assert tree_to_dot(copied) == texts[1] and len(calls) == 4
+    assert tree_to_dot(copied) == texts[1] and tree_to_json(copied) == texts[0]
+    assert calls[1:] == [len(set(zip(arrays.ma.tolist(), arrays.mb.tolist())))]
 
 
 def test_results_pickle_and_copy():
