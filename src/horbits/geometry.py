@@ -120,12 +120,11 @@ class _ShellRows:
 def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:
     """The orbits of dominant flat rows as one int64 array, and their sizes.
 
-    Each orbit is in the element order of
-    :func:`horbits.orbits.generate_orbit` (coordinates descending, compared
-    exactly), and the orbits follow ``flats``.
     All orbits are searched together, one vectorized level at a time, and
     each point is generated once, from its unique parent, by the rule of
-    :func:`horbits.orbits._orbit_flats`.
+    :func:`horbits.orbits._orbit_flats`.  Each orbit comes in that
+    function's order, the element order of
+    :func:`horbits.orbits.generate_orbit`, and the orbits follow ``flats``.
     For a few shells the per-orbit search of ``generate_orbit`` is faster;
     this one pays off on the tens to thousands of shells of larger seeds.
     """
@@ -151,11 +150,9 @@ def _orbit_rows(group: Group, flats) -> tuple[np.ndarray, list[int]]:
         levels.append(level)
     rows = np.concatenate(levels)
     del levels  # the levels alone match the rows in size
-    # generate_orbit's order: exact ranks of the few distinct coordinates,
-    # descending; lexsort compares them within one coordinate
-    codes = _pair_columns(rows[:, 1:], lambda pairs: -np.array(
-        _pair_ranks(list(map(tuple, pairs.tolist())))))
-    order = np.lexsort((*codes.T[::-1], rows[:, 0]))
+    # a level lists children by parent, then by step, so a stable sort by
+    # orbit lists each orbit level by level in the order of _orbit_flats
+    order = np.argsort(rows[:, 0], kind="stable")
     return rows[order, 1:], np.bincount(rows[:, 0], minlength=len(flats)).tolist()
 
 

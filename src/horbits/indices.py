@@ -29,7 +29,6 @@ from .groups import A1, A2, Group, H2, H3, Weight, _flatten, _pair_dot, _unflatt
 from .orbits import (
     Decomposition,
     WeightMultiset,
-    _element_order,
     _norm_order,
     _orbit_flats,
     _orbit_parts,
@@ -183,10 +182,12 @@ def anomaly_number(group: Group, dominant: Weight, direction: Weight,
 def anomaly_number_normalized(group: Group, dominant: Weight, direction: Weight,
                               degree: int) -> float:
     """Float convenience: the anomaly for the unit vector along ``direction``,
-    divided by ``<v,v>**((degree - 1) / 2)`` exactly before it is a float."""
+    the raw anomaly over ``<v,v>**(degree / 2)``, whose square is taken
+    exactly in Q(tau) before it is a float: ``sqrt(raw**2 / <v,v>**degree)``
+    with the sign of ``raw``, the same for ``v`` at any scale."""
     raw = anomaly_number(group, dominant, direction, degree).value
-    norm = group.inner(direction, direction)
-    return _float(raw / norm ** (degree // 2)) / math.sqrt(float(norm))
+    square = raw ** 2 / group.inner(direction, direction) ** degree
+    return math.copysign(math.sqrt(_float(square)), raw.sign())
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +251,11 @@ def branch_decompose(group: Group, rule: BranchingRule, dominant: Weight) -> Dec
 
     The images must be a union of whole child orbits, each of which has one
     dominant image; ``parts`` come in the order of first occurrence of those
-    images over the element order of :func:`generate_orbit`.
+    images over the elements of :func:`generate_orbit`.
     """
-    images, parts, _, denom, scale = _project_orbit(group, rule, dominant)
-    order = _element_order(x for x, image in images.items() if image in parts)
-    firsts = list(dict.fromkeys(images[x] for x in order))
-    weights = _unflatten(rule.child, firsts, denom * scale)
-    return Decomposition(rule.child, {w: parts[f] for w, f in zip(weights, firsts)})
+    _, parts, _, denom, scale = _project_orbit(group, rule, dominant)
+    weights = _unflatten(rule.child, parts, denom * scale)
+    return Decomposition(rule.child, dict(zip(weights, parts.values())))
 
 
 @dataclass(frozen=True)

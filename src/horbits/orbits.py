@@ -52,7 +52,10 @@ def _orbit_flats(group: Group, seed_flat) -> list[tuple[int, ...]]:
     ``s_i`` changes only coordinates ``i - 1``, ``i`` and ``i + 1``, and
     raises ``i - 1``: every ``i < f`` with ``y_i != 0`` gives a child,
     ``i = f + 1`` gives one if the image's coordinate ``f`` is ``>= 0``, and
-    no larger ``i`` does.  Every test is exact.
+    no larger ``i`` does.  Every test is exact.  The points come breadth
+    first: by the number of reflections from the seed, then by parent, then
+    by reflection index, the seed first.  This is the order of an orbit's
+    elements.
     """
     rows = group._int_rows
     rank = group.rank
@@ -118,20 +121,6 @@ def _pair_ranks(pairs: list[tuple[int, int]]) -> list[int]:
     return [rank[p] for p in pairs]
 
 
-def _coord_ranks(flats) -> list[list[int]]:
-    """:func:`_pair_ranks` of the coordinates of ``flats``, one column each."""
-    half = len(flats[0]) // 2 if flats else 0
-    ranks = _pair_ranks([(f[i], f[i + 1]) for f in flats for i in range(0, 2 * half, 2)])
-    return [ranks[j::half] for j in range(half)]
-
-
-def _element_order(flats) -> list[tuple[int, ...]]:
-    """Distinct flat rows in orbit element order: coordinates descending, compared exactly."""
-    flats = list(flats)
-    # distinct rows have distinct rank tuples, so no two keys tie
-    return [f for _, f in sorted(zip(zip(*_coord_ranks(flats)), flats), reverse=True)]
-
-
 def _norm_order(flats, norms) -> list[int]:
     """Positions of flat rows in listing order, decided by exact comparison.
 
@@ -140,7 +129,9 @@ def _norm_order(flats, norms) -> list[int]:
     ``(a_1, b_1, ..., a_r, b_r)`` over one shared denominator and ``norms``
     their ``cartan_det * <x,x>`` pairs.
     """
-    keys = list(zip([-r for r in _pair_ranks(norms)], *_coord_ranks(flats)))
+    half = len(flats[0]) // 2 if flats else 0
+    ranks = _pair_ranks([(f[i], f[i + 1]) for f in flats for i in range(0, 2 * half, 2)])
+    keys = list(zip([-r for r in _pair_ranks(norms)], *(ranks[j::half] for j in range(half))))
     return sorted(range(len(flats)), key=keys.__getitem__)
 
 
@@ -170,7 +161,7 @@ class _OrbitRows:
 
     @cached_property
     def elements(self) -> tuple[Weight, ...]:
-        return tuple(_unflatten(self.group, _element_order(self.rows), self.denom))
+        return tuple(_unflatten(self.group, self.rows, self.denom))
 
 
 @dataclass(frozen=True)
@@ -288,8 +279,9 @@ def generate_orbit(group: Group, dominant: Weight) -> Orbit:
 
     ``elements`` is a view over the rows of :func:`_orbit_flats`, which are
     built on their first read: its length comes from the zero pattern of the
-    dominant, and its ``Weight`` tuple, in element order, is built on the
-    first read of an item.  Products read the rows directly.
+    dominant, and its ``Weight`` tuple, in the order of the rows (the
+    dominant first), is built on the first read of an item.  Products read
+    the rows directly.
     """
     group._own_dominant(dominant)
     source = _OrbitRows(dominant)

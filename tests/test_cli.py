@@ -40,7 +40,7 @@ def test_orbit_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "x1,x2"
     assert len(lines) == 6
-    assert lines[1] == "1.61803398874989,-1.61803398874989"
+    assert lines[1] == "1,0"  # the dominant first
 
 
 def test_index(capsys):

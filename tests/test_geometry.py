@@ -329,6 +329,7 @@ def test_nested_polyhedra_match_the_per_point_reference(group, text, tmp_path):
         assert shell.dominant == want.dominant
         assert shell.radius == want.radius
         assert shell.points_exact == want.points_exact
+        assert shell.points_exact[0] == shell.dominant  # each shell lists its dominant first
         assert shell.edges == want.edges
         # bit for bit: repr tells 0.0 from -0.0 and shows every digit
         assert repr(shell.points) == repr(want.points)

@@ -46,7 +46,6 @@ from horbits.orbits import (
     generate_orbit,
     orbit_product,
     orbit_sum,
-    _element_order,
     _norm_order,
     _orbit_flats,
     _pair_ranks,
@@ -480,14 +479,17 @@ def _fibonacci_seed(group, rng):
 
 
 def _assert_exact_order(group, seeds):
-    """Each orbit strictly decreases under exact lexicographic comparison, and
-    :func:`_orbit_rows` lists the same rows for all seeds at once; returns
+    """Each orbit lists the rows of :func:`_orbit_flats` in order, its
+    dominant first, and they are the points the global search reaches;
+    :func:`_orbit_rows` lists the same rows for all seeds at once.  Returns
     whether some orbit has two distinct coordinates closer than a float64 step."""
     orbits = [generate_orbit(group, seed) for seed in seeds]
-    for orbit in orbits:
-        elements = orbit.elements
-        assert all(x.coords > y.coords for x, y in zip(elements, elements[1:]))
     flats, denom = _flatten(seeds)
+    for orbit, flat in zip(orbits, flats):
+        closure = _orbit_flats(group, flat)
+        assert orbit.elements[0] == orbit.dominant
+        assert orbit.elements == tuple(_unflatten(group, closure, denom))
+        assert set(closure) == _ref_global_closure(group, flat)
     rows, sizes = _orbit_rows(group, flats)
     assert sizes == [len(orbit) for orbit in orbits]
     assert _unflatten(group, rows.tolist(), denom) == [w for o in orbits for w in o.elements]
@@ -499,10 +501,10 @@ def test_float_tied_h2_orbit_lists_in_exact_order():
     seed = H2.parse_weight(FLOAT_TIED_H2)
     assert _assert_exact_order(H2, [seed])
     texts = [w.text() for w in generate_orbit(H2, seed).elements]
-    assert texts[:4] == ["39088169+244410401t,24157817-283498570t",
-                         "-24157817+283498570t,-39088169-244410401t",
+    assert texts[:4] == ["244410401+14930352t,-39088169+24157817t",
+                         "-244410401-14930352t,-24157817+283498570t",
                          "268568218,39088169-24157817t",
-                         "244410401+14930352t,-39088169+24157817t"]
+                         "39088169+244410401t,24157817-283498570t"]
 
 
 @pytest.mark.parametrize("group,count", [(H3, 12), (H4, 3)], ids=["H3", "H4"])
@@ -528,18 +530,17 @@ def _ref_global_closure(group, seed_flat):
     return seen
 
 
-def _ref_orbit_flats(group, seed_flat):
-    """The graded closure: each level reflected in every ``s_i`` with
-    ``x_i > 0``, and its repeats dropped with ``dict.fromkeys``."""
+def _ref_orbit_levels(group, seed_flat):
+    """The graded closure, level by level: each level reflected in every
+    ``s_i`` with ``x_i > 0``, and its repeats dropped with ``dict.fromkeys``.
+    Level ``k`` holds the points ``k`` reflections below the seed."""
     rows = group._int_rows
-    level = [seed_flat]
-    orbit = [seed_flat]
-    while level:
-        level = list(dict.fromkeys(
-            _reflect_flat(x, i, rows[i])
-            for x in level for i in range(group.rank) if _sign_pair(x[2 * i], x[2 * i + 1]) > 0))
-        orbit += level
-    return orbit
+    levels = [[seed_flat]]
+    while levels[-1]:
+        levels.append(list(dict.fromkeys(
+            _reflect_flat(x, i, rows[i]) for x in levels[-1]
+            for i in range(group.rank) if _sign_pair(x[2 * i], x[2 * i + 1]) > 0)))
+    return levels[:-1]
 
 
 def test_graded_closure_matches_the_global_search():
@@ -553,7 +554,7 @@ def test_graded_closure_matches_the_global_search():
         assert isinstance(orbit, list)
         assert len(orbit) == len(set(orbit)) == size == group.orbit_size(seed)
         assert set(orbit) == reference
-        elements = _unflatten(group, _element_order(reference), denom)
+        elements = _unflatten(group, orbit, denom)
         assert generate_orbit(group, seed).elements == tuple(elements)
 
 
@@ -587,10 +588,15 @@ def test_unique_parent_closure_matches_the_graded_closure(group, count):
         orbit = _orbit_flats(group, flat)
         assert orbit[0] == flat
         assert len(orbit) == len(set(orbit)) == size
-        assert set(orbit) == set(_ref_orbit_flats(group, flat))
+        levels = _ref_orbit_levels(group, flat)
+        assert set(orbit) == set(itertools.chain(*levels))
+        # breadth first: the orbit lists each level of the graded closure in turn
+        ends = itertools.accumulate(map(len, levels))
+        assert [set(orbit[end - len(level):end]) for level, end in zip(levels, ends)] == [
+            set(level) for level in levels]
         batched = list(map(tuple, rows[end - size:end].tolist()))
         assert len(set(batched)) == size
-        assert batched == _element_order(orbit)
+        assert batched == orbit
 
 
 @pytest.mark.parametrize("group", [H2, H3, H4, A1, A2], ids=lambda g: g.tag)
