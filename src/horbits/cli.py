@@ -26,6 +26,8 @@ from .indices import (
 from .orbits import _norm_order, decompose_product, generate_orbit, orbit_product
 
 MAX_LISTED_POINTS = 100_000
+# POSIX's least PIPE_BUF: a pipe takes a write of at most this size whole
+_PIPE_PIECE = 512
 
 
 def _parse_coords(group: Group, text: str) -> Weight:
@@ -182,17 +184,25 @@ def _cmd_product(args, group: Group) -> int:
         raise _UsageError("product needs at least two orbits")
     orbits = [generate_orbit(group, _parse_coords(group, c)) for c in args.coords]
     if args.decompose:
-        parts = decompose_product(orbits)
-        for w, mult in parts.sorted_parts():
-            print(f"{w.text()} x{mult}")
+        _write_listing((w.texts(), mult) for w, mult in decompose_product(orbits).sorted_parts())
         return 0
     # order the product's flat rows, then build one Weight per printed row
     rows, counts, denom = orbit_product(orbits, max_points=MAX_LISTED_POINTS)._flat()
     counts = list(counts)
     order = _norm_order(rows, [group._det_norm_pair(r) for r in rows])
-    for w, k in zip(_unflatten(group, [rows[k] for k in order], denom), order):
-        print(f"{w.text()} x{counts[k]}")
+    _write_listing((w.texts(), counts[k])
+                   for w, k in zip(_unflatten(group, [rows[k] for k in order], denom), order))
     return 0
+
+
+def _write_listing(lines) -> None:
+    """Write ``coords xN`` lines from ``(coordinate texts, count)`` pairs,
+    joined once and written in ASCII pieces of ``_PIPE_PIECE``: with an
+    unbuffered stdout (``python -u``), one larger write that a closed pipe
+    cuts short is lost without a ``BrokenPipeError``."""
+    text = "".join([f"{','.join(texts)} x{count}\n" for texts, count in lines])
+    for start in range(0, len(text), _PIPE_PIECE):
+        sys.stdout.write(text[start:start + _PIPE_PIECE])
 
 
 def _cmd_anomaly(args, group: Group) -> int:
@@ -224,21 +234,27 @@ def _cmd_embed_index(args, group: Group) -> int:
 
 
 def _cmd_lower_orbits(args, group: Group) -> int:
-    from .weightsys import build_tree, tree_to_dot, tree_to_json, weight_system_dominants
+    import numpy as np
+
+    from .weightsys import (_dominant_arrays, _pair_columns, _pair_texts, build_tree,
+                            tree_to_dot, tree_to_json)
 
     seed = _parse_coords(group, args.coords)
     max_nodes = _max_nodes(args)
+    # the listing is written from the closure's rows, and builds no Weight
     if args.dot or args.json_path:
         tree = build_tree(group, seed, max_nodes=max_nodes)
-        dominants = tree.lower_dominants
         if args.dot:
             _write_text(args.dot, [tree_to_dot(tree)])
         if args.json_path:
             _write_text(args.json_path, [tree_to_json(tree)])
+        arrays = tree._arrays
+        counts, lower = arrays.counts, arrays.lower
+        texts = [arrays.point_texts[k] for k in lower.tolist()]
     else:
-        dominants = weight_system_dominants(group, seed, max_nodes=max_nodes)
-    for w, count in dominants:
-        print(f"{w.text()} x{count}")
+        rows, counts, lower = _dominant_arrays(group, seed, max_nodes)
+        texts = _pair_columns(rows[lower], _pair_texts).tolist()
+    _write_listing(zip(texts, np.maximum(counts[lower], 1).tolist()))
     return 0
 
 

@@ -248,9 +248,16 @@ def weight_system_dominants(group: Group, seed: Weight,
     of one level; both guards are checked before a level's arrays are
     allocated, and the int64 range of the coordinates before it is expanded.
     """
+    return _dominant_records(group, *_dominant_arrays(group, seed, max_nodes))
+
+
+def _dominant_arrays(group: Group, seed: Weight, max_nodes: int):
+    """The closure of :func:`weight_system_dominants` as arrays ``(rows,
+    counts, lower)``: the dominant rows, their arrival counts, and the
+    positions of the lower dominants in listing order (:func:`_closure`)."""
     _check_args(group, seed, max_nodes)
     rows, counts, lower, _ = _closure(group, seed, max_nodes, tree=False)
-    return _dominant_records(group, rows, counts, lower)
+    return rows, counts, lower
 
 
 def _dominant_records(group: Group, rows: np.ndarray, counts: np.ndarray,

@@ -8,6 +8,8 @@ import pytest
 
 import horbits
 from horbits.cli import main
+from horbits.groups import get_group
+from horbits.weightsys import build_tree, weight_system_dominants
 
 
 def run(capsys, *argv):
@@ -184,6 +186,33 @@ def test_lower_orbits(capsys):
     assert out == "2,0,0 x1\n0,1,0 x1\n0,-1+1t,0 x1\n0,0,0 x6\n"
 
 
+# seeds of each key format of the closure: 16-bit lanes (H2), packed keys
+# (H3, H4) and row keys past the lanes (the last two); the tree of H3 (7,7,0)
+# has 1,050,309 points, past the default node guard, so it has no files case
+_LISTED_SEEDS = [("H2", "7,3t"), ("H3", "2,1t,1"), ("H3", "7,7,0"), ("H4", "1,0,0,1"),
+                 ("H3", "0,0,466+288t"), ("H4", "0,0,0,-144+89t")]
+
+
+@pytest.mark.parametrize("tag, coords, files", [
+    (tag, coords, files) for tag, coords in _LISTED_SEEDS for files in (False, True)
+    if not (files and coords == "7,7,0")])
+def test_lower_orbits_listing_matches_the_records(capsys, tmp_path, tag, coords, files):
+    # the listing is written from the closure's rows: it must read as the
+    # records of both the dominants closure and the tree
+    group = get_group(tag)
+    seed = group.parse_weight(coords)
+    records = [weight_system_dominants(group, seed)]
+    if coords != "7,7,0":
+        records.append(build_tree(group, seed).lower_dominants)
+    argv = ["lower-orbits", tag, coords]
+    if files:
+        argv += ["--dot", str(tmp_path / "tree.dot"), "--json", str(tmp_path / "tree.json")]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    for dominants in records:
+        assert out == "".join(f"{w.text()} x{n}\n" for w, n in dominants)
+
+
 def test_lower_orbits_files(capsys, tmp_path):
     dot = tmp_path / "tree.dot"
     js = tmp_path / "tree.json"
@@ -305,19 +334,23 @@ def test_determinism(capsys):
 
 def test_closed_pipe_exits_without_traceback():
     # `horbits orbit H4 1,1,1,1 | head -1`: the 14,400 lines overflow the pipe
-    # buffer, so the writer meets a closed pipe
+    # buffer, so the writer meets a closed pipe; the 5,686 lines (90 kB) of
+    # `lower-orbits H3 7,7,0` are joined once and meet it too, also with an
+    # unbuffered stdout, where one write that large would be cut short silently
     env = dict(os.environ, PYTHONPATH=str(Path(horbits.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "horbits", "orbit", "H4", "1,1,1,1"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    try:
-        _, err = proc.communicate(timeout=60)
-    finally:
-        proc.kill()
-    assert first == b"# orbit H4 1,1,1,1 size=14400\n"
-    assert proc.returncode == 1
-    assert err == b""
+    for argv, line in ((["orbit", "H4", "1,1,1,1"], b"# orbit H4 1,1,1,1 size=14400\n"),
+                       (["lower-orbits", "H3", "7,7,0"], b"7,7,0 x1\n")):
+        proc = subprocess.Popen([sys.executable, "-m", "horbits", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert first == line, argv
+        assert proc.returncode == 1, argv
+        assert err == b"", argv
 
 
 # the verbs that compute exactly in pure Python, and must run without numpy
